@@ -18,18 +18,21 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .errors import ConvergenceError, DataError, HyperrankError, UsageError
 from .hypergraph import (
     Hypergraph,
     PreprocessReport,
-    build_preprocessed,
     is_strongly_connected,
     largest_connected_component,
     order_slice,
+    preprocess_stream,
     stats,
 )
 from .rankcmp import (
     RankingTable,
+    _fmt,
     curve_filter,
     default_ks,
     pairwise_heatmap,
@@ -55,7 +58,7 @@ METHODS = ("ec", "hec", "uhec", "uphec", "alt", "zec-uplift")
 #  Ingestion
 # ──────────────────────────────────────────────────────────────────────
 
-def _read_int_stream(path: Path) -> list[int]:
+def _read_int_stream(path: Path) -> np.ndarray:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -63,13 +66,18 @@ def _read_int_stream(path: Path) -> list[int]:
     tokens = text.split()
     if not tokens:
         raise DataError(f"empty file: {path}")
-    out = []
-    for tok in tokens:
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        pass
+    for tok in tokens:  # locate the token numpy rejected
         try:
-            out.append(int(tok))
+            value = int(tok)
         except ValueError:
             raise DataError(f"non-integer token {tok!r} in {path}")
-    return out
+        if not np.iinfo(np.int64).min <= value <= np.iinfo(np.int64).max:
+            raise DataError(f"integer token {tok!r} in {path} is outside the int64 range")
+    raise DataError(f"cannot parse integers from {path}")
 
 
 def _read_label_map(path: Path) -> dict[int, str]:
@@ -97,7 +105,7 @@ def _relabel(h: Hypergraph, mapping: dict[int, str]) -> Hypergraph:
             name = f"{name} ({lab})"
         seen.add(name)
         new.append(name)
-    return Hypergraph(h.n, h.edges, tuple(new), h.aux)
+    return h.with_labels(tuple(new))
 
 
 def ingest_simplicial(
@@ -109,19 +117,15 @@ def ingest_simplicial(
     """Decode the simplicial stream pair and run the preprocessing pipeline."""
     nverts = _read_int_stream(Path(nverts_path))
     flat = _read_int_stream(Path(simplices_path))
-    if sum(nverts) != len(flat):
+    total = sum(nverts.tolist())  # Python ints: no int64 overflow
+    if total != len(flat):
         raise DataError(
-            f"count mismatch: nverts sums to {sum(nverts)} but the simplex "
+            f"count mismatch: nverts sums to {total} but the simplex "
             f"stream holds {len(flat)} ids"
         )
-    if any(k < 1 for k in nverts):
+    if (nverts < 1).any():
         raise DataError("simplex sizes must be positive")
-    simplices = []
-    pos = 0
-    for k in nverts:
-        simplices.append(flat[pos:pos + k])
-        pos += k
-    h, report = build_preprocessed(simplices, keep_multiplicities=keep_multiplicities)
+    h, report = preprocess_stream(nverts, flat, keep_multiplicities=keep_multiplicities)
     if labels_path is not None:
         h = _relabel(h, _read_label_map(Path(labels_path)))
     return h, report
@@ -163,10 +167,6 @@ def _print_report(report: PreprocessReport) -> None:
 # ──────────────────────────────────────────────────────────────────────
 #  Output helpers
 # ──────────────────────────────────────────────────────────────────────
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
 
 def _write_scores_csv(path: Path, pairs) -> None:
     ordered = sorted(pairs, key=lambda kv: (-kv[1], str(kv[0])))
@@ -213,7 +213,7 @@ def _run_method(h: Hypergraph, args) -> tuple[dict, dict]:
         if m is None:
             raise DataError("--order is required for hec")
         sl = order_slice(h, m)
-        if not sl.edges:
+        if not sl.blocks:
             raise DataError(f"no hyperedges of size {m} in the input")
         sl = _ensure_connected(sl, args.lcc)
         if method == "ec":
@@ -319,7 +319,7 @@ def _compare_scores(h: Hypergraph, kind: str, order: int, args) -> dict:
     opts = _solver_options(args)
     if kind == "h":
         sl = order_slice(h, order)
-        if not sl.edges:
+        if not sl.blocks:
             raise DataError(f"no hyperedges of size {order} for method h{order}")
         sl = largest_connected_component(sl)
         res = hec(sl, opts, aux_gauge=args.aux_gauge)

@@ -1,22 +1,29 @@
-"""Hypergraph data model: multiset hyperedges, connectivity, order slicing,
+"""Hypergraph data model: size-class edge blocks, connectivity, order slicing,
 summary statistics, and the ingestion preprocessing pipeline.
 
 Nodes are dense internal indices 0..n-1; every hypergraph carries a label
-tuple mapping indices back to the caller's node names. All values are
-immutable after construction and safe to share across threads.
+tuple mapping indices back to the caller's node names. Edges are stored as
+one block per edge size s: an int64 array of shape (E_s, s) whose rows list
+each edge's node indices ascending (a node of multiplicity c appears c
+times) and a float64 weight array of length E_s. `HyperEdge` objects are
+only built on demand, by `Hypergraph.edges`. All values are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
 Support = tuple[tuple[int, int], ...]
+Blocks = dict[int, tuple[np.ndarray, np.ndarray]]
 
 
 def _label_sort_key(label):
@@ -117,36 +124,108 @@ class AuxSpec:
         return bool(self.nodes)
 
 
-@dataclass(frozen=True)
+def merge_rows(rows: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the rows of an (E, s) array lexicographically and merge equal rows
+    by summing their weights (in input order, so the result is deterministic)."""
+    if len(rows) < 2:
+        return rows, weight
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    if first.all():
+        return rows, weight[order]
+    return rows[first], np.bincount(np.cumsum(first) - 1, weights=weight[order])
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _blocks_from_edges(edges: Sequence[HyperEdge]) -> Blocks:
+    rows: dict[int, list] = {}
+    weights: dict[int, list] = {}
+    for e in edges:
+        row = e.expanded()
+        rows.setdefault(len(row), []).append(row)
+        weights.setdefault(len(row), []).append(e.weight)
+    return {s: (np.array(rows[s], dtype=np.int64), np.array(weights[s], dtype=float))
+            for s in sorted(rows)}
+
+
 class Hypergraph:
-    """Immutable hypergraph on dense indices 0..n-1 with weighted edges."""
+    """Immutable hypergraph on dense indices 0..n-1 with weighted edges.
 
-    n: int
-    edges: tuple[HyperEdge, ...]
-    labels: tuple = ()
-    aux: AuxSpec = field(default_factory=AuxSpec)
+    Build it from `HyperEdge` objects (`edges`) or from size-class blocks
+    (`blocks`: {s: (nodes int64[E_s, s] with ascending rows, weight[E_s])}).
+    Rows may repeat within a block; consumers that need distinct edges merge
+    them. `edges` is materialized from the blocks on first access, sorted by
+    support.
+    """
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(
+        self,
+        n: int,
+        edges: Iterable[HyperEdge] = (),
+        labels: tuple = (),
+        aux: Optional[AuxSpec] = None,
+        *,
+        blocks: Optional[Blocks] = None,
+    ):
+        if n < 0:
             raise DataError("node count must be nonnegative")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(range(self.n)))
-        if len(self.labels) != self.n:
+        labels = tuple(labels) if labels else tuple(range(n))
+        if len(labels) != n:
             raise DataError("labels must have length n")
-        if len(set(self.labels)) != self.n:
+        if len(set(labels)) != n:
             raise DataError("labels must be distinct")
-        object.__setattr__(self, "edges", tuple(self.edges))
-        for e in self.edges:
-            if e.support and e.support[-1][0] >= self.n:
-                raise DataError(f"edge references node >= n: {e.support}")
-        for a in self.aux.nodes:
-            if a >= self.n:
-                raise DataError("aux node out of range")
+        aux = aux if aux is not None else AuxSpec()
+        if any(a >= n for a in aux.nodes):
+            raise DataError("aux node out of range")
+        if blocks is None:
+            edges = tuple(edges)
+            self.__dict__["edges"] = edges  # the given objects are the cached view
+            blocks = _blocks_from_edges(edges)
+        elif edges:
+            raise DataError("give edges or blocks, not both")
+        clean: Blocks = {}
+        for s in sorted(blocks):
+            rows, weight = blocks[s]
+            rows = np.asarray(rows, dtype=np.int64)
+            weight = np.asarray(weight, dtype=float)
+            if not len(rows):
+                continue
+            if s < 2 or rows.shape != (len(weight), s):
+                raise DataError(f"size-{s} block has shape {rows.shape}")
+            if rows.min() < 0 or rows.max() >= n:
+                raise DataError(f"size-{s} block references a node outside 0..{n - 1}")
+            if not (weight > 0).all():
+                raise DataError("edge weights must be positive")
+            clean[s] = (_frozen(rows), _frozen(weight))
+        self.n = n
+        self.labels = labels
+        self.aux = aux
+        self.blocks = clean
 
     @cached_property
+    def edges(self) -> tuple[HyperEdge, ...]:
+        """The edges as `HyperEdge` objects, sorted by support."""
+        out = []
+        for rows, weight in self.blocks.values():
+            for row, w in zip(rows.tolist(), weight.tolist()):
+                out.append(HyperEdge(tuple(Counter(row).items()), w))
+        out.sort(key=lambda e: e.support)
+        return tuple(out)
+
+    @property
     def max_size(self) -> int:
         """Largest hyperedge size M (0 for an edgeless hypergraph)."""
-        return max((e.size for e in self.edges), default=0)
+        return max(self.blocks, default=0)
+
+    @property
+    def num_edges(self) -> int:
+        return sum(len(w) for _, w in self.blocks.values())
 
     @cached_property
     def label_to_index(self) -> dict:
@@ -157,11 +236,22 @@ class Hypergraph:
         return frozenset(self.aux.nodes)
 
     def is_uniform(self) -> bool:
-        sizes = {e.size for e in self.edges}
-        return len(sizes) == 1
+        return len(self.blocks) == 1
 
     def edge_sizes(self) -> Counter:
-        return Counter(e.size for e in self.edges)
+        return Counter({s: len(w) for s, (_, w) in self.blocks.items()})
+
+    def with_labels(self, labels: tuple) -> "Hypergraph":
+        """The same hypergraph under new node labels."""
+        return Hypergraph(self.n, labels=labels, aux=self.aux, blocks=self.blocks)
+
+    @cached_property
+    def _label_rank(self) -> np.ndarray:
+        """Rank of each node's label under `_label_sort_key`."""
+        order = sorted(range(self.n), key=lambda i: _label_sort_key(self.labels[i]))
+        rank = np.empty(self.n, dtype=np.int64)
+        rank[order] = np.arange(self.n)
+        return rank
 
     @staticmethod
     def from_edge_list(
@@ -201,47 +291,48 @@ class Hypergraph:
         edges = tuple(HyperEdge(s, w) for s, w in sorted(merged.items()))
         return Hypergraph(len(labels), edges, labels)
 
-    def induced(self, keep: Sequence[int], edges: Iterable[HyperEdge]) -> "Hypergraph":
-        """Sub-hypergraph on the index subset `keep`, re-densified; labels kept."""
-        keep = sorted(keep)
-        remap = {old: new for new, old in enumerate(keep)}
-        new_edges = tuple(
-            HyperEdge(tuple((remap[v], c) for v, c in e.support), e.weight)
-            for e in edges
-        )
-        keep_set = set(keep)
-        aux_pairs = [
-            (remap[a], m)
-            for a, m in zip(self.aux.nodes, self.aux.multiplicities)
-            if a in keep_set
-        ]
+    def restrict(self, keep: np.ndarray, blocks: Blocks) -> "Hypergraph":
+        """Sub-hypergraph on the ascending index array `keep`, re-densified and
+        holding `blocks` (rows over kept nodes only); labels kept."""
+        remap = np.full(self.n, -1, dtype=np.int64)
+        remap[keep] = np.arange(len(keep))
+        new_blocks = {s: (remap[rows], w) for s, (rows, w) in blocks.items()}
+        aux_pairs = [(int(remap[a]), m)
+                     for a, m in zip(self.aux.nodes, self.aux.multiplicities)
+                     if remap[a] >= 0]
         aux = AuxSpec(tuple(a for a, _ in aux_pairs), tuple(m for _, m in aux_pairs))
-        return Hypergraph(len(keep), new_edges, tuple(self.labels[i] for i in keep), aux)
+        labels = tuple(self.labels[i] for i in keep.tolist())
+        return Hypergraph(len(keep), labels=labels, aux=aux, blocks=new_blocks)
 
 
-class _UnionFind:
-    """Union-find with path compression and union by size."""
+def component_roots(n: int, rows: Iterable[np.ndarray]) -> np.ndarray:
+    """Smallest node index of each node's component, where every row of every
+    (E, k) array in `rows` joins its nodes.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    Hook-and-compress: each round hooks the larger of two differing roots
+    onto the smaller, then pointer-jumps every node to its root.
+    """
+    parent = np.arange(n)
+    firsts, others = [], []
+    for r in rows:
+        if r.shape[1] > 1:
+            firsts.append(np.repeat(r[:, 0], r.shape[1] - 1))
+            others.append(r[:, 1:].ravel())
+    if not firsts:
+        return parent
+    u, v = np.concatenate(firsts), np.concatenate(others)
+    while True:
+        pu, pv = parent[u], parent[v]
+        differ = pu != pv
+        if not differ.any():
+            return parent
+        u, v, pu, pv = u[differ], v[differ], pu[differ], pv[differ]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            jumped = parent[parent]
+            if (jumped == parent).all():
+                break
+            parent = jumped
 
 
 def connected_components(h: Hypergraph) -> list[list[int]]:
@@ -251,35 +342,38 @@ def connected_components(h: Hypergraph) -> list[list[int]]:
     nodes form singleton components. Components are sorted largest first,
     ties broken by the smallest minimum node label.
     """
-    uf = _UnionFind(h.n)
-    for e in h.edges:
-        first = e.support[0][0]
-        for v, _ in e.support[1:]:
-            uf.union(first, v)
-    groups: dict[int, list[int]] = {}
-    for v in range(h.n):
-        groups.setdefault(uf.find(v), []).append(v)
-    comps = sorted(
-        groups.values(),
-        key=lambda c: (-len(c), min(_label_sort_key(h.labels[v]) for v in c)),
-    )
-    return comps
+    if h.n == 0:
+        return []
+    roots = component_roots(h.n, (rows for rows, _ in h.blocks.values()))
+    order = np.argsort(roots, kind="stable")
+    starts = np.flatnonzero(np.r_[True, roots[order][1:] != roots[order][:-1]])
+    groups = np.split(order, starts[1:])
+    first_label = np.minimum.reduceat(h._label_rank[order], starts)
+    ranked = sorted(range(len(groups)), key=lambda g: (-len(groups[g]), first_label[g]))
+    return [groups[g].tolist() for g in ranked]
 
 
 def is_strongly_connected(h: Hypergraph) -> bool:
     if h.n == 0:
         return False
-    comps = connected_components(h)
-    return len(comps) == 1
+    roots = component_roots(h.n, (rows for rows, _ in h.blocks.values()))
+    return bool((roots == 0).all())
 
 
 def largest_connected_component(h: Hypergraph) -> Hypergraph:
     """Sub-hypergraph induced by the largest component (labels preserved)."""
     if h.n == 0:
         return h
-    comp = set(connected_components(h)[0])
-    kept_edges = [e for e in h.edges if all(v in comp for v in e.nodes)]
-    return h.induced(sorted(comp), kept_edges)
+    comp = np.asarray(connected_components(h)[0])
+    if len(comp) == h.n:
+        return h
+    inside = np.zeros(h.n, dtype=bool)
+    inside[comp] = True
+    kept = {}
+    for s, (rows, w) in h.blocks.items():
+        mask = inside[rows[:, 0]]
+        kept[s] = (rows[mask], w[mask])
+    return h.restrict(np.sort(comp), kept)
 
 
 def order_slice(h: Hypergraph, m: int) -> Hypergraph:
@@ -289,11 +383,10 @@ def order_slice(h: Hypergraph, m: int) -> Hypergraph:
     """
     if m < 2:
         raise DataError(f"order must be >= 2, got {m}")
-    kept = [e for e in h.edges if e.size == m]
-    incident: set[int] = set()
-    for e in kept:
-        incident.update(e.nodes)
-    return h.induced(sorted(incident), kept)
+    if m not in h.blocks:
+        return Hypergraph(0)
+    rows, w = h.blocks[m]
+    return h.restrict(np.unique(rows), {m: (rows, w)})
 
 
 @dataclass(frozen=True)
@@ -338,8 +431,8 @@ def stats(h: Hypergraph) -> HypergraphStats:
     per_order = {}
     for m in hist:
         sl = order_slice(h, m)
-        per_order[m] = OrderStats(sl.n, len(sl.edges), _lcc_fraction(sl))
-    return HypergraphStats(h.n, len(h.edges), hist, per_order, _lcc_fraction(h))
+        per_order[m] = OrderStats(sl.n, sl.num_edges, _lcc_fraction(sl))
+    return HypergraphStats(h.n, h.num_edges, hist, per_order, _lcc_fraction(h))
 
 
 @dataclass(frozen=True)
@@ -359,6 +452,53 @@ class PreprocessReport:
         return dict(self.__dict__)
 
 
+def preprocess_stream(
+    sizes: np.ndarray,
+    ids: np.ndarray,
+    keep_multiplicities: bool = False,
+) -> tuple[Hypergraph, PreprocessReport]:
+    """`build_preprocessed` on the simplicial stream form: `sizes[k]` is the
+    length of simplex k and `ids` concatenates the int64 node ids of all
+    simplices. Node labels are the ids as Python ints, ascending.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
+    if int(sizes.sum()) != len(ids) or (sizes < 0).any():
+        raise DataError("simplex sizes do not match the id stream")
+    raw = len(sizes)
+    simplex = np.repeat(np.arange(raw), sizes)
+    order = np.lexsort((ids, simplex))
+    simplex, ids_sorted = simplex[order], ids[order]
+    repeat = np.zeros(len(ids), dtype=bool)
+    repeat[1:] = (simplex[1:] == simplex[:-1]) & (ids_sorted[1:] == ids_sorted[:-1])
+    with_repeats = len(np.unique(simplex[repeat]))
+    if not keep_multiplicities:
+        simplex, ids_sorted = simplex[~repeat], ids_sorted[~repeat]
+    size = np.bincount(simplex, minlength=raw)
+    kept = size >= 2
+    elem_size = size[simplex]
+    blocks = {}
+    for s in np.unique(size[kept]).tolist():
+        rows = ids_sorted[elem_size == s].reshape(-1, s)
+        blocks[s] = merge_rows(rows, np.ones(len(rows)))
+    node_ids = np.unique(np.concatenate([r.ravel() for r, _ in blocks.values()])) \
+        if blocks else np.zeros(0, dtype=np.int64)
+    blocks = {s: (np.searchsorted(node_ids, r), w) for s, (r, w) in blocks.items()}
+    h = Hypergraph(len(node_ids), labels=tuple(node_ids.tolist()), blocks=blocks)
+    seen = len(np.unique(ids))
+    report = PreprocessReport(
+        raw_simplices=raw,
+        simplices_with_repeats=with_repeats,
+        dropped_small=int(raw - kept.sum()),
+        merged_duplicates=int(kept.sum()) - h.num_edges,
+        raw_node_ids=seen,
+        dropped_isolated=seen - h.n,
+        final_nodes=h.n,
+        final_edges=h.num_edges,
+    )
+    return h, report
+
+
 def build_preprocessed(
     simplices: Iterable[Sequence[Hashable]],
     keep_multiplicities: bool = False,
@@ -366,47 +506,16 @@ def build_preprocessed(
     """Standard cleanup: collapse within-simplex repeats (unless asked to keep
     them), drop simplices smaller than 2, merge duplicate edges by summing
     weights, and drop nodes left incident to no edge.
+
+    Labels are ordered by `sort_labels` over every id in the input.
     """
     raw = [list(s) for s in simplices]
-    seen_ids: set = set()
-    for s in raw:
-        seen_ids.update(s)
-
-    with_repeats = 0
-    dropped_small = 0
-    merged: dict[tuple, float] = {}
-    kept = 0
-    for s in raw:
-        counts = Counter(s)
-        if any(c > 1 for c in counts.values()):
-            with_repeats += 1
-            if not keep_multiplicities:
-                counts = Counter(dict.fromkeys(counts, 1))
-        if sum(counts.values()) < 2:
-            dropped_small += 1
-            continue
-        kept += 1
-        key = tuple(sorted(((_label_sort_key(v), v, c) for v, c in counts.items())))
-        merged[key] = merged.get(key, 0.0) + 1.0
-
-    labels_set = set()
-    for key in merged:
-        labels_set.update(v for _, v, _ in key)
-    labels = tuple(sort_labels(labels_set))
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = tuple(
-        HyperEdge(tuple(sorted((index[v], c) for _, v, c in key)), w)
-        for key, w in sorted(merged.items())
+    tokens = [v for s in raw for v in s]
+    universe = sort_labels(set(tokens))
+    rank = {lab: i for i, lab in enumerate(universe)}
+    h, report = preprocess_stream(
+        np.array([len(s) for s in raw], dtype=np.int64),
+        np.array([rank[v] for v in tokens], dtype=np.int64),
+        keep_multiplicities,
     )
-    h = Hypergraph(len(labels), edges, labels)
-    report = PreprocessReport(
-        raw_simplices=len(raw),
-        simplices_with_repeats=with_repeats,
-        dropped_small=dropped_small,
-        merged_duplicates=kept - len(edges),
-        raw_node_ids=len(seen_ids),
-        dropped_isolated=len(seen_ids) - len(labels),
-        final_nodes=h.n,
-        final_edges=len(h.edges),
-    )
-    return h, report
+    return h.with_labels(tuple(universe[i] for i in h.labels)), report

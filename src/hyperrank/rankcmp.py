@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -172,6 +171,9 @@ def pairwise_heatmap(table: RankingTable) -> np.ndarray:
 
     cap = _thread_cap()
     if cap > 1:
+        # imported here: the pool is opt-in, and the import costs every CLI start
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cap) as pool:
             list(pool.map(fill, pairs))
     else:

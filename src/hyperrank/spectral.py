@@ -21,14 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .hypergraph import (
-    AuxSpec,
-    Hypergraph,
-    _UnionFind,
-    is_strongly_connected,
-)
-from .tensor import ScoreVector, UniformTensor, _as_array, apply, from_hypergraph
-from .uniformize import alternative_uniformization, project, uplift, uplift_project
+from .hypergraph import AuxSpec, Hypergraph, component_roots, is_strongly_connected
+from .tensor import ScoreVector, UniformTensor, _as_array, apply
+from .uniformize import project, uniform_tensor
 
 __all__ = [
     "SolverOptions",
@@ -114,13 +109,8 @@ def _require_connected(h: Hypergraph):
 
 def _require_weakly_irreducible(t: UniformTensor):
     """Weak irreducibility equals connectivity of the co-occurrence graph."""
-    uf = _UnionFind(t.dim)
-    for support, _ in t.entries:
-        first = support[0][0]
-        for v, _ in support[1:]:
-            uf.union(first, v)
-    roots = {uf.find(v) for v in range(t.dim)}
-    if len(roots) != 1:
+    rows = [b.support_rows for b in t.blocks]
+    if t.dim == 0 or (component_roots(t.dim, rows) != 0).any():
         raise DataError(_DISCONNECTED_MSG)
 
 
@@ -218,11 +208,11 @@ def eigenvector_centrality(
 # ──────────────────────────────────────────────────────────────────────
 
 def _solve_uniformized(
-    g: Hypergraph, method: str, options: Optional[SolverOptions]
+    h: Hypergraph, m: int, method: str, options: Optional[SolverOptions],
+    alt: bool = False, aux_gauge: bool = False,
 ) -> CentralityResult:
-    t = from_hypergraph(g)
-    return h_eigen_power(t, options, labels=g.labels, aux_indices=g.aux.nodes,
-                         method=method)
+    t, labels, aux = uniform_tensor(h, m, alt=alt, aux_gauge=aux_gauge)
+    return h_eigen_power(t, options, labels=labels, aux_indices=aux, method=method)
 
 
 def hec(
@@ -231,13 +221,13 @@ def hec(
     aux_gauge: bool = False,
 ) -> CentralityResult:
     """H-eigenvector centrality of a uniform hypergraph."""
-    if not h.edges:
+    if not h.blocks:
         raise DataError("hypergraph has no edges")
     if not h.is_uniform():
         raise DataError("hec requires a uniform hypergraph; see uhec/uphec")
     _require_connected(h)
-    g = uplift(h, h.max_size + 1) if aux_gauge else h
-    return _solve_uniformized(g, f"HEC({h.max_size})", options)
+    return _solve_uniformized(h, h.max_size, f"HEC({h.max_size})", options,
+                              aux_gauge=aux_gauge)
 
 
 def uhec(
@@ -252,10 +242,7 @@ def uhec(
     auxiliary components are reported separately at their raw solver values.
     """
     _require_connected(h)
-    g = uplift(h, m)
-    if aux_gauge:
-        g = uplift(g, m + 1)
-    return _solve_uniformized(g, f"UHEC({m})", options)
+    return _solve_uniformized(h, m, f"UHEC({m})", options, aux_gauge=aux_gauge)
 
 
 def uphec(
@@ -266,10 +253,10 @@ def uphec(
 ) -> CentralityResult:
     """Project edges above order p, uplift the rest, and solve at order p."""
     _require_connected(h)
-    g = uplift_project(h, p)
-    if aux_gauge:
-        g = uplift(g, p + 1)
-    return _solve_uniformized(g, f"UPHEC({p})", options)
+    if not 2 <= p <= h.max_size:
+        raise DataError(f"order p={p} must satisfy 2 <= p <= M={h.max_size}")
+    return _solve_uniformized(project(h, p), p, f"UPHEC({p})", options,
+                              aux_gauge=aux_gauge)
 
 
 def alt_centrality(
@@ -284,10 +271,8 @@ def alt_centrality(
     reaches upward), then every edge is expanded over its index multisets.
     """
     _require_connected(h)
-    g = alternative_uniformization(project(h, m), m)
-    if aux_gauge:
-        g = uplift(g, m + 1)
-    return _solve_uniformized(g, f"ALT({m})", options)
+    return _solve_uniformized(project(h, m), m, f"ALT({m})", options,
+                              alt=True, aux_gauge=aux_gauge)
 
 
 # ──────────────────────────────────────────────────────────────────────
@@ -370,14 +355,13 @@ def z_via_uplift(h: Hypergraph, norm: str) -> ZEigenpair:
         raise DataError("underlying pairwise graph needs at least 2 nodes")
 
     A = np.zeros((n_g, n_g))
-    uf = _UnionFind(n_g)
+    pairs = []
     for e in h.edges:
-        pair = [pos[v] for v, c in e.support if v not in sel]
-        i, j = pair
+        i, j = [pos[v] for v, c in e.support if v not in sel]
         A[i, j] += e.weight
         A[j, i] += e.weight
-        uf.union(i, j)
-    if len({uf.find(v) for v in range(n_g)}) != 1:
+        pairs.append((i, j))
+    if (component_roots(n_g, [np.array(pairs)]) != 0).any():
         raise DataError("underlying pairwise graph is disconnected; " + _DISCONNECTED_MSG)
 
     eigvals, eigvecs = np.linalg.eigh(A)

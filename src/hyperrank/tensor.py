@@ -2,10 +2,17 @@
 hypergraphs: contraction (tensor apply), flattening matrix, and a dense
 materialization oracle for verification.
 
-A tensor is stored as one (support multiset, value) entry per distinct
-hyperedge; the represented array has that value at every index tuple whose
-multiset of indices equals the support. Nothing is densified in production
-paths; `dense_oracle` exists for cross-checking on small instances.
+A tensor is stored as blocks of entries that share one multiplicity
+pattern. In a block, row e of an int64 array lists the distinct nodes of one
+entry's support; every row shares the per-column multiplicities and the
+auxiliary "pads" (node, multiplicity) pairs, and the entry's value is the
+row's weight times the block's scalar. The represented array has that value
+at every index tuple whose multiset of indices equals the support. Uplift
+padding, the aux gauge and the composition construction are all such
+patterns over the edge rows, so none of them is materialized.
+`UniformTensor.entries` lists the (support, value) pairs on demand, for the
+reference code; nothing is densified in production paths, and `dense_oracle`
+exists for cross-checking on small instances.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -85,58 +92,149 @@ def _as_array(x: ArrayLike, n: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+class Block(NamedTuple):
+    """Tensor entries sharing one multiplicity pattern.
+
+    Entry e has support {(rows[e, j], mult[j])} plus `pads`, and value
+    weight[e] * scale. Rows hold distinct nodes, none of them a pad node.
+    """
+
+    rows: np.ndarray
+    weight: np.ndarray
+    mult: tuple[int, ...]
+    pads: tuple[tuple[int, int], ...] = ()
+    scale: float = 1.0
+
+    @property
+    def support_rows(self) -> np.ndarray:
+        """`rows` with one column per pad appended: every node of each entry."""
+        pads = np.array([a for a, _ in self.pads], dtype=np.int64)
+        return np.hstack([self.rows, np.broadcast_to(pads, (len(self.rows), len(pads)))])
+
+
+def split_patterns(rows: np.ndarray, weight: np.ndarray) -> list[Block]:
+    """Blocks for an (E, s) array of ascending rows with repetition, one per
+    run-length pattern of the rows."""
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    if starts.all():
+        return [Block(rows, weight, (1,) * rows.shape[1])]
+    patterns, which = np.unique(starts, axis=0, return_inverse=True)
+    out = []
+    for g, pattern in enumerate(patterns):
+        cols = np.flatnonzero(pattern)
+        mult = tuple(np.diff(np.r_[cols, rows.shape[1]]).tolist())
+        sel = which == g
+        out.append(Block(rows[sel][:, cols], weight[sel], mult))
+    return out
+
+
+def _blocks_from_entries(entries) -> list[Block]:
+    groups: dict[tuple[int, ...], tuple[list, list]] = {}
+    for support, value in entries:
+        rows, values = groups.setdefault(tuple(c for _, c in support), ([], []))
+        rows.append([v for v, _ in support])
+        values.append(value)
+    return [Block(np.array(rows, dtype=np.int64).reshape(len(rows), len(mult)),
+                  np.array(values, dtype=float), mult)
+            for mult, (rows, values) in groups.items()]
+
+
+def _arrangements(order: int, mults: tuple[int, ...], k: int) -> int:
+    """Orderings of the other order-1 indices of a support with one index
+    of multiplicity mults[k] fixed in front."""
+    count = math.factorial(order - 1) // math.factorial(mults[k] - 1)
+    for j, c in enumerate(mults):
+        if j != k:
+            count //= math.factorial(c)
+    return count
+
+
 class UniformTensor:
-    """Order-m symmetric tensor stored as (support, value) entries."""
+    """Order-m symmetric tensor on `dim` indices, held as `Block`s.
 
-    order: int
-    dim: int
-    entries: tuple[tuple[Support, float], ...]
+    Build it from (support, value) `entries` or from `blocks`. Supports may
+    repeat across blocks; the tensor sums their values.
+    """
 
-    def __post_init__(self):
-        if self.order < 2:
+    def __init__(self, order: int, dim: int,
+                 entries: Iterable[tuple[Support, float]] = (), *,
+                 blocks: Iterable[Block] = ()):
+        if order < 2:
             raise DataError("tensor order must be >= 2")
-        if self.order > _MAX_ORDER:
-            raise DataError(f"tensor order {self.order} exceeds supported {_MAX_ORDER}")
-        seen = set()
-        for support, value in self.entries:
-            if sum(c for _, c in support) != self.order:
-                raise DataError(f"support {support} does not sum to order {self.order}")
-            if any(v < 0 or v >= self.dim for v, _ in support):
-                raise DataError(f"support {support} out of range for dim {self.dim}")
-            if support in seen:
-                raise DataError(f"duplicate support {support}")
-            if not value > 0:
-                raise DataError(f"entry value must be positive, got {value}")
-            seen.add(support)
+        if order > _MAX_ORDER:
+            raise DataError(f"tensor order {order} exceeds supported {_MAX_ORDER}")
+        self.order = order
+        self.dim = dim
+        entries = tuple(entries)
+        if entries:
+            if blocks:
+                raise DataError("give entries or blocks, not both")
+            seen = set()
+            for support, value in entries:
+                if sum(c for _, c in support) != order:
+                    raise DataError(f"support {support} does not sum to order {order}")
+                if any(v < 0 or v >= dim for v, _ in support):
+                    raise DataError(f"support {support} out of range for dim {dim}")
+                if support in seen:
+                    raise DataError(f"duplicate support {support}")
+                if not value > 0:
+                    raise DataError(f"entry value must be positive, got {value}")
+                seen.add(support)
+            self.__dict__["entries"] = entries  # the given entries are the cached view
+            blocks = _blocks_from_entries(entries)
+        self.blocks = tuple(b for b in blocks if len(b.rows))
+        for b in self.blocks:
+            if sum(b.mult) + sum(p for _, p in b.pads) != order \
+                    or b.rows.shape != (len(b.weight), len(b.mult)):
+                raise DataError(f"block pattern {b.mult} + {b.pads} does not make "
+                                f"order {order}")
+            if b.rows.min() < 0 or b.rows.max() >= dim \
+                    or any(not 0 <= a < dim for a, _ in b.pads):
+                raise DataError(f"block out of range for dim {dim}")
+            if not (b.scale > 0 and (b.weight > 0).all()):
+                raise DataError("entry values must be positive")
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Support, float], ...]:
+        """(support, value) pairs, one per distinct support, sorted."""
+        merged: dict[Support, float] = {}
+        for b in self.blocks:
+            for row, w in zip(b.rows.tolist(), b.weight.tolist()):
+                support = tuple(sorted([*zip(row, b.mult), *b.pads]))
+                merged[support] = merged.get(support, 0.0) + w * b.scale
+        return tuple(sorted(merged.items()))
 
     @cached_property
     def _apply_arrays(self):
-        """Flattened (lead index, coefficient, remaining indices) rows.
+        """(coef, kernels): coef[r] is the value of row r over all blocks.
 
-        Row for entry e and node i carries value(e) * N(e, i) with N the
-        count of arrangements of the other m-1 indices, and the m-1 remaining
-        indices (with repetition) whose x-components get multiplied.
+        One kernel per block: its rows; the flattened indices of its rows
+        followed by its pad nodes; value times arrangement count for every
+        (row, column or pad) cell; the pad nodes; and, per column or pad j,
+        the factor sequence of its leave-one-out product: j repeated
+        mult_j - 1 times, then every other column or pad l repeated mult_l
+        times, in support order.
         """
         m = self.order
-        fact = math.factorial
-        lead, coef, rest = [], [], []
-        for support, value in self.entries:
-            for node, mult in support:
-                c = fact(m - 1) // fact(mult - 1)
-                row = [node] * (mult - 1)
-                for other, omult in support:
-                    if other != node:
-                        c //= fact(omult)
-                        row.extend([other] * omult)
-                lead.append(node)
-                coef.append(value * c)
-                rest.append(row)
-        if not lead:
-            return (np.zeros(0, dtype=np.int64), np.zeros(0),
-                    np.zeros((0, m - 1), dtype=np.int64))
-        return (np.asarray(lead, dtype=np.int64), np.asarray(coef, dtype=float),
-                np.asarray(rest, dtype=np.int64))
+        coef = np.concatenate([b.weight * b.scale for b in self.blocks]) \
+            if self.blocks else np.zeros(0)
+        kernels = []
+        start = 0
+        for b in self.blocks:
+            pad_nodes = tuple(a for a, _ in b.pads)
+            mults = b.mult + tuple(p for _, p in b.pads)
+            counts = np.array([_arrangements(m, mults, j) for j in range(len(mults))],
+                              dtype=float)
+            sequences = tuple(
+                (j,) * (mults[j] - 1)
+                + tuple(l for l, c in enumerate(mults) if l != j for _ in range(c))
+                for j in range(len(mults)))
+            stop = start + len(b.rows)
+            kernels.append((b.rows, b.support_rows.ravel(), coef[start:stop, None] * counts,
+                            pad_nodes, sequences))
+            start = stop
+        return coef, tuple(kernels)
 
 
 def from_hypergraph(h: Hypergraph) -> UniformTensor:
@@ -145,18 +243,15 @@ def from_hypergraph(h: Hypergraph) -> UniformTensor:
     Auxiliary nodes are ordinary indices; duplicate supports (if any) merge
     additively.
     """
-    if not h.edges:
+    if not h.blocks:
         raise DataError("cannot build a tensor from an edgeless hypergraph")
     if not h.is_uniform():
         raise DataError(
             f"hypergraph is not uniform (sizes {sorted(h.edge_sizes())}); "
             "uniformize it first"
         )
-    merged: dict[Support, float] = {}
-    for e in h.edges:
-        merged[e.support] = merged.get(e.support, 0.0) + e.weight
-    entries = tuple(sorted(merged.items()))
-    return UniformTensor(h.max_size, h.n, entries)
+    rows, weight = h.blocks[h.max_size]
+    return UniformTensor(h.max_size, h.n, blocks=split_patterns(rows, weight))
 
 
 def apply(t: UniformTensor, x: ArrayLike) -> np.ndarray:
@@ -165,14 +260,25 @@ def apply(t: UniformTensor, x: ArrayLike) -> np.ndarray:
     Returns y with y_i = sum over index tuples starting at i of the tensor
     component times the product of the x components at the remaining indices.
     Accepts signed input; equals the dense contraction exactly up to float
-    rounding of an entry-ordered reduction (deterministic).
+    rounding of a block-ordered reduction (deterministic). Per block this is
+    one gather, the leave-one-out products of each column (multiplied in
+    support order, so nodes in symmetric positions get bit-identical terms)
+    and one bincount.
     """
     vec = _as_array(x, t.dim)
-    lead, coef, rest = t._apply_arrays
-    if lead.size == 0:
-        return np.zeros(t.dim)
-    terms = coef * np.prod(vec[rest], axis=1)
-    return np.bincount(lead, weights=terms, minlength=t.dim)[: t.dim]
+    y = np.zeros(t.dim)
+    for rows, cells, coef, pad_nodes, sequences in t._apply_arrays[1]:
+        xr = vec[rows]
+        factors = [xr[:, j] for j in range(rows.shape[1])] + [vec[a] for a in pad_nodes]
+        terms = np.empty(coef.shape)
+        for j, seq in enumerate(sequences):
+            product = factors[seq[0]]
+            for l in seq[1:]:
+                product = product * factors[l]
+            terms[:, j] = product
+        terms *= coef
+        y += np.bincount(cells, weights=terms.ravel(), minlength=t.dim)
+    return y
 
 
 def flattening_matrix(t: UniformTensor) -> np.ndarray:

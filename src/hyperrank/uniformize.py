@@ -6,6 +6,12 @@ Edge weights double as tensor component values throughout: the uplift
 multiplies weights by the combinatorial star factor, projection assigns
 participation counts, and the multi-uplift leaves weights untouched
 (its combinatorics are accounted for at contraction time).
+
+All rewrites work on the size-class edge blocks of `Hypergraph`.
+`uniform_tensor` builds the tensor of an uplift (or of the composition
+construction), optionally uplifted once more for the aux gauge, without
+materializing the rewritten edges: each size class keeps its rows and
+gains a pad or a multiplicity pattern.
 """
 
 from __future__ import annotations
@@ -14,19 +20,30 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import Mapping
+
+import numpy as np
 
 from .errors import DataError
-from .hypergraph import AuxSpec, HyperEdge, Hypergraph
+from .hypergraph import AuxSpec, Hypergraph, merge_rows
+from .tensor import Block, UniformTensor, split_patterns
 
 __all__ = [
     "BuildCounter",
+    "MAX_PROJECTED_ROWS",
+    "projected_rows",
     "star_factor",
     "uplift",
     "multi_uplift",
     "project",
     "uplift_project",
     "alternative_uniformization",
+    "uniform_tensor",
 ]
+
+# Largest number of p-subset rows `project` may gather (about 0.5 GB of
+# int64 rows at p = 3); larger requests fail before allocating anything.
+MAX_PROJECTED_ROWS = 20_000_000
 
 
 @dataclass
@@ -54,6 +71,16 @@ def _fresh_label(existing, base: str):
     return label
 
 
+def _check_order(h: Hypergraph, m: int, verb: str) -> None:
+    if m < h.max_size:
+        raise DataError(f"cannot {verb} below max edge size: m={m} < M={h.max_size}")
+
+
+def _require_simple(rows: np.ndarray, what: str) -> None:
+    if not (rows[:, 1:] > rows[:, :-1]).all():
+        raise DataError(f"{what} requires simple (set) hyperedges")
+
+
 def uplift(h: Hypergraph, m: int, counter: BuildCounter | None = None) -> Hypergraph:
     """Pad every hyperedge below size m with a shared auxiliary node.
 
@@ -61,26 +88,22 @@ def uplift(h: Hypergraph, m: int, counter: BuildCounter | None = None) -> Hyperg
     weight is multiplied by (m-s) * s! / m!; edges already at size m pass
     through. Identity when nothing needs padding (no auxiliary node added).
     """
-    if m < h.max_size:
-        raise DataError(
-            f"cannot uplift below max edge size: m={m} < M={h.max_size}"
-        )
-    if all(e.size == m for e in h.edges):
+    _check_order(h, m, "uplift")
+    if all(s == m for s in h.blocks):
         return h
     star = h.n
-    star_label = _fresh_label(set(h.labels), "*")
-    new_edges = []
-    for e in h.edges:
-        s = e.size
-        if s == m:
-            new_edges.append(e)
-        else:
+    rows, weights = [], []
+    for s, (r, w) in h.blocks.items():
+        if s < m:
             if counter is not None:
-                counter.uplift_ops += m - s
-            support = e.support + ((star, m - s),)
-            new_edges.append(HyperEdge(support, e.weight * star_factor(m, s)))
+                counter.uplift_ops += (m - s) * len(r)
+            r = np.hstack([r, np.full((len(r), m - s), star)])
+            w = w * star_factor(m, s)
+        rows.append(r)
+        weights.append(w)
     aux = AuxSpec(h.aux.nodes + (star,), h.aux.multiplicities + (None,))
-    return Hypergraph(h.n + 1, tuple(new_edges), h.labels + (star_label,), aux)
+    return Hypergraph(h.n + 1, labels=h.labels + (_fresh_label(set(h.labels), "*"),),
+                      aux=aux, blocks={m: (np.concatenate(rows), np.concatenate(weights))})
 
 
 def multi_uplift(
@@ -91,7 +114,7 @@ def multi_uplift(
     appearing p[k] times in every edge. Weights are left unchanged.
     """
     p = tuple(int(v) for v in p)
-    if not h.edges or not h.is_uniform():
+    if not h.is_uniform():
         raise DataError("multi_uplift requires a uniform hypergraph with edges")
     big_m = h.max_size
     if m <= big_m:
@@ -99,18 +122,29 @@ def multi_uplift(
     if any(v < 1 for v in p) or sum(p) != m - big_m:
         raise DataError(f"multiplicities {p} must be positive and sum to {m - big_m}")
     labels = list(h.labels)
-    aux_nodes = []
     for k in range(len(p)):
         labels.append(_fresh_label(set(labels), f"*{k + 1}"))
-        aux_nodes.append(h.n + k)
-    pad = tuple((a, pk) for a, pk in zip(aux_nodes, p))
-    new_edges = []
-    for e in h.edges:
-        if counter is not None:
-            counter.uplift_ops += m - big_m
-        new_edges.append(HyperEdge(e.support + pad, e.weight))
-    aux = AuxSpec(h.aux.nodes + tuple(aux_nodes), h.aux.multiplicities + p)
-    return Hypergraph(h.n + len(p), tuple(new_edges), tuple(labels), aux)
+    aux_nodes = tuple(range(h.n, h.n + len(p)))
+    rows, weight = h.blocks[big_m]
+    if counter is not None:
+        counter.uplift_ops += (m - big_m) * len(rows)
+    pad = np.repeat(np.array(aux_nodes, dtype=np.int64), p)
+    rows = np.hstack([rows, np.broadcast_to(pad, (len(rows), len(pad)))])
+    aux = AuxSpec(h.aux.nodes + aux_nodes, h.aux.multiplicities + p)
+    return Hypergraph(h.n + len(p), labels=tuple(labels), aux=aux,
+                      blocks={m: (rows, weight)})
+
+
+def projected_rows(size_histogram: Mapping[int, int], p: int) -> int:
+    """Rows `project` gathers for order p: the sum over sizes s of
+    E_s * C(s, p). Raises DataError above MAX_PROJECTED_ROWS."""
+    total = sum(count * math.comb(s, p) for s, count in size_histogram.items())
+    if total > MAX_PROJECTED_ROWS:
+        raise DataError(
+            f"projecting to order {p} would generate {total} subsets, above the "
+            f"limit of {MAX_PROJECTED_ROWS}; choose a larger order"
+        )
+    return total
 
 
 def project(h: Hypergraph, p: int, counter: BuildCounter | None = None) -> Hypergraph:
@@ -122,20 +156,25 @@ def project(h: Hypergraph, p: int, counter: BuildCounter | None = None) -> Hyper
     """
     if p < 2:
         raise DataError(f"projection order must be >= 2, got {p}")
-    merged: dict[tuple, float] = {}
-    for e in h.edges:
-        if e.size <= p:
-            merged[e.support] = merged.get(e.support, 0.0) + e.weight
+    projected_rows(h.edge_sizes(), p)
+    blocks = {}
+    rows_p, weights_p = [], []
+    for s, (rows, w) in h.blocks.items():
+        if s < p:
+            blocks[s] = merge_rows(rows, w)
             continue
-        if not e.is_simple:
-            raise DataError("projection requires simple (set) hyperedges")
-        for sub in combinations(e.nodes, p):
+        if s > p:
+            _require_simple(rows, "projection")
+            subsets = np.array(list(combinations(range(s), p)))
             if counter is not None:
-                counter.project_ops += p
-            support = tuple((v, 1) for v in sub)
-            merged[support] = merged.get(support, 0.0) + e.weight
-    edges = tuple(HyperEdge(s, w) for s, w in sorted(merged.items()))
-    return Hypergraph(h.n, edges, h.labels, h.aux)
+                counter.project_ops += p * len(subsets) * len(rows)
+            rows = rows[:, subsets].reshape(-1, p)
+            w = np.repeat(w, len(subsets))
+        rows_p.append(rows)
+        weights_p.append(w)
+    if rows_p:
+        blocks[p] = merge_rows(np.concatenate(rows_p), np.concatenate(weights_p))
+    return Hypergraph(h.n, labels=h.labels, aux=h.aux, blocks=blocks)
 
 
 def uplift_project(
@@ -178,18 +217,57 @@ def alternative_uniformization(h: Hypergraph, m: int) -> Hypergraph:
     over its nodes with all multiplicities >= 1 summing to m, each entry
     valued at weight * s / alpha with alpha the total arrangement count.
     """
-    if m < h.max_size:
-        raise DataError(
-            f"cannot uniformize below max edge size: m={m} < M={h.max_size}"
-        )
-    merged: dict[tuple, float] = {}
-    for e in h.edges:
-        if not e.is_simple:
-            raise DataError("alternative uniformization requires simple hyperedges")
-        s = e.size
-        value = e.weight * s / _alpha(m, s)
+    _check_order(h, m, "uniformize")
+    rows, weights = [], []
+    for s, (r, w) in h.blocks.items():
+        _require_simple(r, "alternative uniformization")
+        value = w * s / _alpha(m, s)
         for comp in _compositions(m, s):
-            support = tuple((v, c) for v, c in zip(e.nodes, comp))
-            merged[support] = merged.get(support, 0.0) + value
-    edges = tuple(HyperEdge(sup, w) for sup, w in sorted(merged.items()))
-    return Hypergraph(h.n, edges, h.labels, h.aux)
+            rows.append(np.repeat(r, comp, axis=1))
+            weights.append(value)
+    blocks = {m: merge_rows(np.concatenate(rows), np.concatenate(weights))} if rows else {}
+    return Hypergraph(h.n, labels=h.labels, aux=h.aux, blocks=blocks)
+
+
+def uniform_tensor(
+    h: Hypergraph, m: int, alt: bool = False, aux_gauge: bool = False
+) -> tuple[UniformTensor, tuple, tuple[int, ...]]:
+    """Tensor of `uplift(h, m)`, or of `alternative_uniformization(h, m)` when
+    `alt` is set, uplifted once more to order m+1 when `aux_gauge` is set.
+
+    Nothing is materialized: a size-s class padded to m keeps its rows and
+    gains the pad (star, m-s) and the star factor as its scale; the
+    composition construction gives one multiplicity pattern per composition
+    over the same rows; the gauge appends the pad (gauge node, 1) and the
+    factor 1/(m+1) to every block. Returns the tensor, its labels (auxiliary
+    labels appended) and the indices of all auxiliary nodes.
+    """
+    if not h.blocks:
+        raise DataError("cannot build a tensor from an edgeless hypergraph")
+    _check_order(h, m, "uniformize" if alt else "uplift")
+    labels, aux = h.labels, h.aux.nodes
+    if not alt and any(s != m for s in h.blocks):
+        star = h.n
+        labels += (_fresh_label(set(labels), "*"),)
+        aux += (star,)
+    blocks: list[Block] = []
+    for s, (rows, w) in h.blocks.items():
+        if alt:
+            _require_simple(rows, "alternative uniformization")
+            scale = s / _alpha(m, s)
+            blocks += [Block(rows, w, comp, (), scale) for comp in _compositions(m, s)]
+        elif s < m:
+            blocks += [b._replace(pads=((star, m - s),), scale=star_factor(m, s))
+                       for b in split_patterns(rows, w)]
+        else:
+            blocks += split_patterns(rows, w)
+    order = m
+    if aux_gauge:
+        gauge = len(labels)
+        labels += (_fresh_label(set(labels), "*"),)
+        aux += (gauge,)
+        factor = star_factor(m + 1, m)
+        blocks = [b._replace(pads=b.pads + ((gauge, 1),), scale=b.scale * factor)
+                  for b in blocks]
+        order = m + 1
+    return UniformTensor(order, len(labels), blocks=blocks), labels, aux

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import hyperrank as hr
+import reference
 from hyperrank.cli import ingest_simplicial, main
 from conftest import TABLE_ROWS
 
@@ -62,6 +63,17 @@ class TestIngest:
         with pytest.raises(hr.DataError, match="count mismatch"):
             ingest_simplicial(f"{prefix}-nverts.txt", f"{prefix}-simplices.txt")
 
+    def test_report_counts_match_reference(self, tmp_path):
+        simplices = [[5, 1, 1], [1, 5], [7], [3, 4, 3], [9, 9], [4, 3], [2, 1, 5]]
+        prefix = write_dataset(tmp_path, [len(s) for s in simplices],
+                               [v for s in simplices for v in s])
+        h, report = ingest_simplicial(f"{prefix}-nverts.txt",
+                                      f"{prefix}-simplices.txt")
+        labels, edges, want = reference.build_preprocessed(simplices)
+        assert report.as_dict() == want
+        assert h.labels == labels
+        assert {e.support: e.weight for e in h.edges} == edges
+
     def test_label_file_applies(self, tmp_path):
         prefix = write_dataset(tmp_path, [2], [1, 2], labels=[(1, "ubuntu"),
                                                               (2, "grub")])
@@ -91,6 +103,23 @@ class TestExitCodes:
         code = main(["stats", "--input", prefix, "--out",
                      str(tmp_path / "s.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("nverts, simplices, message", [
+        ("2\n", "1 x\n", "non-integer token 'x'"),
+        ("2\n", "1 99999999999999999999\n", "outside the int64 range"),
+        ("2\n0\n", "1 2\n", "simplex sizes must be positive"),
+        ("3\n-1\n", "1 2\n", "simplex sizes must be positive"),
+        ("3\n2\n", "1 2 3 4\n", "count mismatch"),
+        ("", "1 2\n", "empty file"),
+    ])
+    def test_malformed_streams_report_data_error(self, tmp_path, capsys, nverts,
+                                                 simplices, message):
+        (tmp_path / "toy-nverts.txt").write_text(nverts)
+        (tmp_path / "toy-simplices.txt").write_text(simplices)
+        code = main(["stats", "--input", str(tmp_path / "toy"), "--out",
+                     str(tmp_path / "s.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_usage_error_unknown_flag(self):
         assert main(["centrality", "--definitely-not-a-flag"]) == 1

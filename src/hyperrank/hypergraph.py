@@ -6,8 +6,9 @@ tuple mapping indices back to the caller's node names. Edges are stored as
 one block per edge size s: an int64 array of shape (E_s, s) whose rows list
 each edge's node indices ascending (a node of multiplicity c appears c
 times) and a float64 weight array of length E_s. `HyperEdge` objects are
-only built on demand, by `Hypergraph.edges`. All values are immutable after
-construction and safe to share across threads.
+only built on demand, by `Hypergraph.edges`. A `Hypergraph` is immutable:
+its attributes cannot be reassigned and its arrays are read-only, so it is
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -138,9 +140,15 @@ def merge_rows(rows: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.nda
     return rows[first], np.bincount(np.cumsum(first) - 1, weights=weight[order])
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _frozen(a, dtype) -> np.ndarray:
+    """A read-only array of `a`. A writable input array is copied first, so
+    the caller's array stays writable; read-only ones (another hypergraph's)
+    are shared."""
+    out = np.asarray(a, dtype=dtype)
+    if out is a and out.flags.writeable:
+        out = out.copy()
+    out.setflags(write=False)
+    return out
 
 
 def _blocks_from_edges(edges: Sequence[HyperEdge]) -> Blocks:
@@ -192,8 +200,7 @@ class Hypergraph:
         clean: Blocks = {}
         for s in sorted(blocks):
             rows, weight = blocks[s]
-            rows = np.asarray(rows, dtype=np.int64)
-            weight = np.asarray(weight, dtype=float)
+            rows, weight = _frozen(rows, np.int64), _frozen(weight, float)
             if not len(rows):
                 continue
             if s < 2 or rows.shape != (len(weight), s):
@@ -202,11 +209,11 @@ class Hypergraph:
                 raise DataError(f"size-{s} block references a node outside 0..{n - 1}")
             if not (weight > 0).all():
                 raise DataError("edge weights must be positive")
-            clean[s] = (_frozen(rows), _frozen(weight))
-        self.n = n
-        self.labels = labels
-        self.aux = aux
-        self.blocks = clean
+            clean[s] = (rows, weight)
+        self.__dict__.update(n=n, labels=labels, aux=aux, blocks=MappingProxyType(clean))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Hypergraph is immutable; cannot set {name!r}")
 
     @cached_property
     def edges(self) -> tuple[HyperEdge, ...]:

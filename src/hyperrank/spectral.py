@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError
 from .hypergraph import AuxSpec, Hypergraph, component_roots, is_strongly_connected
-from .tensor import ScoreVector, UniformTensor, _as_array, apply
-from .uniformize import project, uniform_tensor
+from .tensor import ScoreVector, UniformTensor, _as_array, apply, from_hypergraph
+from .uniformize import alternative_uniformization, project, uplift, uplift_project
 
 __all__ = [
     "SolverOptions",
@@ -109,7 +109,7 @@ def _require_connected(h: Hypergraph):
 
 def _require_weakly_irreducible(t: UniformTensor):
     """Weak irreducibility equals connectivity of the co-occurrence graph."""
-    rows = [b.support_rows for b in t.blocks]
+    rows = [b.rows for b in t.blocks]
     if t.dim == 0 or (component_roots(t.dim, rows) != 0).any():
         raise DataError(_DISCONNECTED_MSG)
 
@@ -208,11 +208,15 @@ def eigenvector_centrality(
 # ──────────────────────────────────────────────────────────────────────
 
 def _solve_uniformized(
-    h: Hypergraph, m: int, method: str, options: Optional[SolverOptions],
-    alt: bool = False, aux_gauge: bool = False,
+    g: Hypergraph, method: str, options: Optional[SolverOptions], aux_gauge: bool,
 ) -> CentralityResult:
-    t, labels, aux = uniform_tensor(h, m, alt=alt, aux_gauge=aux_gauge)
-    return h_eigen_power(t, options, labels=labels, aux_indices=aux, method=method)
+    """Solve on the uniform hypergraph g, uplifted one order more first when
+    `aux_gauge` is set."""
+    if aux_gauge:
+        g = uplift(g, g.max_size + 1)
+    t = from_hypergraph(g)
+    return h_eigen_power(t, options, labels=g.labels, aux_indices=g.aux.nodes,
+                         method=method)
 
 
 def hec(
@@ -226,8 +230,7 @@ def hec(
     if not h.is_uniform():
         raise DataError("hec requires a uniform hypergraph; see uhec/uphec")
     _require_connected(h)
-    return _solve_uniformized(h, h.max_size, f"HEC({h.max_size})", options,
-                              aux_gauge=aux_gauge)
+    return _solve_uniformized(h, f"HEC({h.max_size})", options, aux_gauge)
 
 
 def uhec(
@@ -242,7 +245,7 @@ def uhec(
     auxiliary components are reported separately at their raw solver values.
     """
     _require_connected(h)
-    return _solve_uniformized(h, m, f"UHEC({m})", options, aux_gauge=aux_gauge)
+    return _solve_uniformized(uplift(h, m), f"UHEC({m})", options, aux_gauge)
 
 
 def uphec(
@@ -253,10 +256,7 @@ def uphec(
 ) -> CentralityResult:
     """Project edges above order p, uplift the rest, and solve at order p."""
     _require_connected(h)
-    if not 2 <= p <= h.max_size:
-        raise DataError(f"order p={p} must satisfy 2 <= p <= M={h.max_size}")
-    return _solve_uniformized(project(h, p), p, f"UPHEC({p})", options,
-                              aux_gauge=aux_gauge)
+    return _solve_uniformized(uplift_project(h, p), f"UPHEC({p})", options, aux_gauge)
 
 
 def alt_centrality(
@@ -271,8 +271,8 @@ def alt_centrality(
     reaches upward), then every edge is expanded over its index multisets.
     """
     _require_connected(h)
-    return _solve_uniformized(project(h, m), m, f"ALT({m})", options,
-                              alt=True, aux_gauge=aux_gauge)
+    return _solve_uniformized(alternative_uniformization(project(h, m), m),
+                              f"ALT({m})", options, aux_gauge)
 
 
 # ──────────────────────────────────────────────────────────────────────

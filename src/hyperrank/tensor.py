@@ -4,12 +4,10 @@ materialization oracle for verification.
 
 A tensor is stored as blocks of entries that share one multiplicity
 pattern. In a block, row e of an int64 array lists the distinct nodes of one
-entry's support; every row shares the per-column multiplicities and the
-auxiliary "pads" (node, multiplicity) pairs, and the entry's value is the
-row's weight times the block's scalar. The represented array has that value
-at every index tuple whose multiset of indices equals the support. Uplift
-padding, the aux gauge and the composition construction are all such
-patterns over the edge rows, so none of them is materialized.
+entry's support, every row shares the per-column multiplicities, and the
+entry's value is the row's weight. The represented array has that value at
+every index tuple whose multiset of indices equals the support, so an
+uplifted edge costs one row with its auxiliary node as one more column.
 `UniformTensor.entries` lists the (support, value) pairs on demand, for the
 reference code; nothing is densified in production paths, and `dense_oracle`
 exists for cross-checking on small instances.
@@ -93,38 +91,30 @@ def _as_array(x: ArrayLike, n: int) -> np.ndarray:
 
 
 class Block(NamedTuple):
-    """Tensor entries sharing one multiplicity pattern.
-
-    Entry e has support {(rows[e, j], mult[j])} plus `pads`, and value
-    weight[e] * scale. Rows hold distinct nodes, none of them a pad node.
-    """
+    """Tensor entries sharing one multiplicity pattern: entry e has support
+    {(rows[e, j], mult[j])} (distinct nodes) and value weight[e]."""
 
     rows: np.ndarray
     weight: np.ndarray
     mult: tuple[int, ...]
-    pads: tuple[tuple[int, int], ...] = ()
-    scale: float = 1.0
-
-    @property
-    def support_rows(self) -> np.ndarray:
-        """`rows` with one column per pad appended: every node of each entry."""
-        pads = np.array([a for a, _ in self.pads], dtype=np.int64)
-        return np.hstack([self.rows, np.broadcast_to(pads, (len(self.rows), len(pads)))])
 
 
 def split_patterns(rows: np.ndarray, weight: np.ndarray) -> list[Block]:
     """Blocks for an (E, s) array of ascending rows with repetition, one per
-    run-length pattern of the rows."""
+    run-length pattern of the rows, in pattern order; rows keep their order
+    within a block."""
     starts = np.ones(rows.shape, dtype=bool)
     starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
     if starts.all():
         return [Block(rows, weight, (1,) * rows.shape[1])]
-    patterns, which = np.unique(starts, axis=0, return_inverse=True)
+    order = np.lexsort(starts.T[::-1])  # stable: rows keep their order per pattern
+    starts = starts[order]
+    first = np.flatnonzero(np.r_[True, (starts[1:] != starts[:-1]).any(axis=1)])
     out = []
-    for g, pattern in enumerate(patterns):
-        cols = np.flatnonzero(pattern)
+    for a, b in zip(first, np.r_[first[1:], len(order)]):
+        cols = np.flatnonzero(starts[a])
         mult = tuple(np.diff(np.r_[cols, rows.shape[1]]).tolist())
-        sel = which == g
+        sel = order[a:b]
         out.append(Block(rows[sel][:, cols], weight[sel], mult))
     return out
 
@@ -185,14 +175,11 @@ class UniformTensor:
             blocks = _blocks_from_entries(entries)
         self.blocks = tuple(b for b in blocks if len(b.rows))
         for b in self.blocks:
-            if sum(b.mult) + sum(p for _, p in b.pads) != order \
-                    or b.rows.shape != (len(b.weight), len(b.mult)):
-                raise DataError(f"block pattern {b.mult} + {b.pads} does not make "
-                                f"order {order}")
-            if b.rows.min() < 0 or b.rows.max() >= dim \
-                    or any(not 0 <= a < dim for a, _ in b.pads):
+            if sum(b.mult) != order or b.rows.shape != (len(b.weight), len(b.mult)):
+                raise DataError(f"block pattern {b.mult} does not make order {order}")
+            if b.rows.min() < 0 or b.rows.max() >= dim:
                 raise DataError(f"block out of range for dim {dim}")
-            if not (b.scale > 0 and (b.weight > 0).all()):
+            if not (b.weight > 0).all():
                 raise DataError("entry values must be positive")
 
     @cached_property
@@ -201,40 +188,39 @@ class UniformTensor:
         merged: dict[Support, float] = {}
         for b in self.blocks:
             for row, w in zip(b.rows.tolist(), b.weight.tolist()):
-                support = tuple(sorted([*zip(row, b.mult), *b.pads]))
-                merged[support] = merged.get(support, 0.0) + w * b.scale
+                support = tuple(zip(row, b.mult))
+                merged[support] = merged.get(support, 0.0) + w
         return tuple(sorted(merged.items()))
 
     @cached_property
     def _apply_arrays(self):
-        """(coef, kernels): coef[r] is the value of row r over all blocks.
+        """(lead, kernels): lead lists the node of every (entry, support
+        node) row, block by block, so its length is the row count.
 
-        One kernel per block: its rows; the flattened indices of its rows
-        followed by its pad nodes; value times arrangement count for every
-        (row, column or pad) cell; the pad nodes; and, per column or pad j,
-        the factor sequence of its leave-one-out product: j repeated
-        mult_j - 1 times, then every other column or pad l repeated mult_l
-        times, in support order.
+        One kernel per block: its rows; their flattened indices (a view of
+        `lead`); value times arrangement count for every (row, column) cell;
+        and, per column j, the factor sequence of its leave-one-out product:
+        j repeated mult_j - 1 times, then every other column l repeated
+        mult_l times, in support order.
         """
         m = self.order
-        coef = np.concatenate([b.weight * b.scale for b in self.blocks]) \
-            if self.blocks else np.zeros(0)
+        lead = np.concatenate([b.rows.ravel() for b in self.blocks]) \
+            if self.blocks else np.zeros(0, dtype=np.int64)
         kernels = []
         start = 0
         for b in self.blocks:
-            pad_nodes = tuple(a for a, _ in b.pads)
-            mults = b.mult + tuple(p for _, p in b.pads)
+            mults = b.mult
             counts = np.array([_arrangements(m, mults, j) for j in range(len(mults))],
                               dtype=float)
             sequences = tuple(
                 (j,) * (mults[j] - 1)
                 + tuple(l for l, c in enumerate(mults) if l != j for _ in range(c))
                 for j in range(len(mults)))
-            stop = start + len(b.rows)
-            kernels.append((b.rows, b.support_rows.ravel(), coef[start:stop, None] * counts,
-                            pad_nodes, sequences))
+            stop = start + b.rows.size
+            kernels.append((b.rows, lead[start:stop], b.weight[:, None] * counts,
+                            sequences))
             start = stop
-        return coef, tuple(kernels)
+        return lead, tuple(kernels)
 
 
 def from_hypergraph(h: Hypergraph) -> UniformTensor:
@@ -267,9 +253,9 @@ def apply(t: UniformTensor, x: ArrayLike) -> np.ndarray:
     """
     vec = _as_array(x, t.dim)
     y = np.zeros(t.dim)
-    for rows, cells, coef, pad_nodes, sequences in t._apply_arrays[1]:
+    for rows, cells, coef, sequences in t._apply_arrays[1]:
         xr = vec[rows]
-        factors = [xr[:, j] for j in range(rows.shape[1])] + [vec[a] for a in pad_nodes]
+        factors = [xr[:, j] for j in range(rows.shape[1])]
         terms = np.empty(coef.shape)
         for j, seq in enumerate(sequences):
             product = factors[seq[0]]

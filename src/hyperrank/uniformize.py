@@ -7,11 +7,9 @@ multiplies weights by the combinatorial star factor, projection assigns
 participation counts, and the multi-uplift leaves weights untouched
 (its combinatorics are accounted for at contraction time).
 
-All rewrites work on the size-class edge blocks of `Hypergraph`.
-`uniform_tensor` builds the tensor of an uplift (or of the composition
-construction), optionally uplifted once more for the aux gauge, without
-materializing the rewritten edges: each size class keeps its rows and
-gains a pad or a multiplicity pattern.
+All rewrites work on the size-class edge blocks of `Hypergraph`: an uplift
+appends auxiliary columns to each block's rows, a projection gathers column
+subsets, and the composition construction repeats columns.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import numpy as np
 
 from .errors import DataError
 from .hypergraph import AuxSpec, Hypergraph, merge_rows
-from .tensor import Block, UniformTensor, split_patterns
 
 __all__ = [
     "BuildCounter",
@@ -38,7 +35,6 @@ __all__ = [
     "project",
     "uplift_project",
     "alternative_uniformization",
-    "uniform_tensor",
 ]
 
 # Largest number of p-subset rows `project` may gather (about 0.5 GB of
@@ -228,46 +224,3 @@ def alternative_uniformization(h: Hypergraph, m: int) -> Hypergraph:
     blocks = {m: merge_rows(np.concatenate(rows), np.concatenate(weights))} if rows else {}
     return Hypergraph(h.n, labels=h.labels, aux=h.aux, blocks=blocks)
 
-
-def uniform_tensor(
-    h: Hypergraph, m: int, alt: bool = False, aux_gauge: bool = False
-) -> tuple[UniformTensor, tuple, tuple[int, ...]]:
-    """Tensor of `uplift(h, m)`, or of `alternative_uniformization(h, m)` when
-    `alt` is set, uplifted once more to order m+1 when `aux_gauge` is set.
-
-    Nothing is materialized: a size-s class padded to m keeps its rows and
-    gains the pad (star, m-s) and the star factor as its scale; the
-    composition construction gives one multiplicity pattern per composition
-    over the same rows; the gauge appends the pad (gauge node, 1) and the
-    factor 1/(m+1) to every block. Returns the tensor, its labels (auxiliary
-    labels appended) and the indices of all auxiliary nodes.
-    """
-    if not h.blocks:
-        raise DataError("cannot build a tensor from an edgeless hypergraph")
-    _check_order(h, m, "uniformize" if alt else "uplift")
-    labels, aux = h.labels, h.aux.nodes
-    if not alt and any(s != m for s in h.blocks):
-        star = h.n
-        labels += (_fresh_label(set(labels), "*"),)
-        aux += (star,)
-    blocks: list[Block] = []
-    for s, (rows, w) in h.blocks.items():
-        if alt:
-            _require_simple(rows, "alternative uniformization")
-            scale = s / _alpha(m, s)
-            blocks += [Block(rows, w, comp, (), scale) for comp in _compositions(m, s)]
-        elif s < m:
-            blocks += [b._replace(pads=((star, m - s),), scale=star_factor(m, s))
-                       for b in split_patterns(rows, w)]
-        else:
-            blocks += split_patterns(rows, w)
-    order = m
-    if aux_gauge:
-        gauge = len(labels)
-        labels += (_fresh_label(set(labels), "*"),)
-        aux += (gauge,)
-        factor = star_factor(m + 1, m)
-        blocks = [b._replace(pads=b.pads + ((gauge, 1),), scale=b.scale * factor)
-                  for b in blocks]
-        order = m + 1
-    return UniformTensor(order, len(labels), blocks=blocks), labels, aux

@@ -158,6 +158,19 @@ class TestConstruction:
         with pytest.raises(hr.DataError):
             hr.HyperEdge.from_nodes([0, 1], weight=0.0)
 
+    def test_blocks_are_read_only_copies(self):
+        rows = np.array([[0, 1], [1, 2]])
+        weight = np.array([1.0, 2.0])
+        h = hr.Hypergraph(3, blocks={2: (rows, weight)})
+        rows[0, 0] = 2  # the caller's arrays stay writable and are not shared
+        assert h.blocks[2][0].tolist() == [[0, 1], [1, 2]]
+        with pytest.raises(ValueError):
+            h.blocks[2][1][0] = 5.0
+        with pytest.raises(TypeError):
+            h.blocks[3] = h.blocks[2]
+        with pytest.raises(AttributeError):
+            h.n = 4
+
     def test_labels_roundtrip(self):
         h = hr.Hypergraph.from_edge_list([["b", "a"], ["a", "c"]])
         assert h.labels == ("a", "b", "c")

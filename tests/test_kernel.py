@@ -28,19 +28,21 @@ def hypergraphs(draw, n_max=6, size_max=4):
 
 
 def build(h, kind, m, aux_gauge):
-    """(kernel tensor, labels, aux) and the reference hypergraph for one
-    construction; "project" is the plain order-2 projection."""
+    """The uniform hypergraph of one construction, built by the array path,
+    and the same built by the reference; "project" is the plain order-2
+    projection."""
     if kind == "project":
-        t, labels, aux = hr.uniform_tensor(hr.project(h, 2), 2, aux_gauge=aux_gauge)
-        ref = reference.project(h, 2)
-        return (t, labels, aux), reference.uplift(ref, 3) if aux_gauge else ref
-    if kind == "uplift":
-        got = hr.uniform_tensor(h, m, aux_gauge=aux_gauge)
+        got, ref = hr.project(h, 2), reference.project(h, 2)
+    elif kind == "uplift":
+        got, ref = hr.uplift(h, m), reference.uplift(h, m)
     elif kind == "uplift_project":
-        got = hr.uniform_tensor(hr.project(h, m), m, aux_gauge=aux_gauge)
+        got, ref = hr.uplift_project(h, m), reference.uplift_project(h, m)
     else:
-        got = hr.uniform_tensor(hr.project(h, m), m, alt=True, aux_gauge=aux_gauge)
-    return got, reference.construction(h, kind, m, aux_gauge)
+        got = hr.alternative_uniformization(hr.project(h, m), m)
+        ref = reference.alternative_uniformization(reference.project(h, m), m)
+    if aux_gauge:
+        got, ref = hr.uplift(got, got.max_size + 1), reference.uplift(ref, ref.max_size + 1)
+    return got, ref
 
 
 KINDS = ("uplift", "project", "uplift_project", "alt")
@@ -55,10 +57,12 @@ class TestTensorKernel:
             m = data.draw(st.integers(2, big_m))
         else:
             m = big_m + data.draw(st.integers(0, 1))
-        (t, labels, aux), ref = build(h, kind, m, aux_gauge)
-        assert labels == ref.labels
-        assert aux == ref.aux.nodes
+        g, ref = build(h, kind, m, aux_gauge)
+        assert g.labels == ref.labels
+        assert g.aux == ref.aux
+        t = hr.from_hypergraph(g)
         assert (t.order, t.dim) == (ref.max_size, ref.n)
+        assert len(t._apply_arrays[0]) == sum(len(s) for s, _ in t.entries)
 
         want = reference.tensor_entries(ref)
         assert len(t.entries) == len(want)
@@ -78,12 +82,9 @@ class TestTensorKernel:
     def test_multiset_rows_split_into_patterns(self, two_aux_uplift):
         t = hr.from_hypergraph(two_aux_uplift)
         assert sorted(b.mult for b in t.blocks) == [(1, 1, 1, 2)]
-        up = hr.uplift(two_aux_uplift, 6)
-        t6, _, _ = hr.uniform_tensor(two_aux_uplift, 6)
+        t6 = hr.from_hypergraph(hr.uplift(two_aux_uplift, 6))
+        assert sorted(b.mult for b in t6.blocks) == [(1, 1, 1, 2, 1)]
         assert t6.entries == reference.tensor_entries(reference.uplift(two_aux_uplift, 6))
-        x = np.random.default_rng(3).uniform(-1, 1, t6.dim)
-        assert np.allclose(hr.apply(t6, x), hr.apply(hr.from_hypergraph(up), x),
-                           rtol=0, atol=1e-13)
 
 
 class TestPipelinesMatchReference:

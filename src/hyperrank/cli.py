@@ -315,6 +315,15 @@ def _parse_compare_tag(tag: str) -> tuple[str, int]:
     return tag[0], int(tag[1:])
 
 
+def _parse_topk(raw: str) -> list[int]:
+    try:
+        return sorted(int(x) for x in raw.split(","))
+    except ValueError:
+        raise UsageError(
+            f"--topk expects comma-separated integers, got {raw!r}"
+        ) from None
+
+
 def _compare_scores(h: Hypergraph, kind: str, order: int, args) -> dict:
     opts = _solver_options(args)
     if kind == "h":
@@ -335,6 +344,7 @@ def _compare_scores(h: Hypergraph, kind: str, order: int, args) -> dict:
 
 
 def cmd_compare(args) -> int:
+    ks = _parse_topk(args.topk) if args.topk else None
     nverts, simplices, labels = _resolve_dataset(args.input)
     h, report = ingest_simplicial(nverts, simplices, labels)
     _print_report(report)
@@ -354,9 +364,7 @@ def cmd_compare(args) -> int:
     table = RankingTable.from_scores(columns)
     heat = pairwise_heatmap(table)
 
-    if args.topk:
-        ks = sorted(int(x) for x in args.topk.split(","))
-    else:
+    if ks is None:
         ks = default_ks(len(table.labels))
     curves = {}
     for tag_a in table.tags:

@@ -6,7 +6,6 @@ top-K correlation curves, and the max/min curve filter.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -19,72 +18,91 @@ from .hypergraph import sort_labels
 Curve = list[tuple[int, float]]
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("HYPERRANK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ──────────────────────────────────────────────────────────────────────
 #  Kendall tau (tau-b)
 # ──────────────────────────────────────────────────────────────────────
 
-def _count_inversions(x: list) -> tuple[list, int]:
-    """Merge sort counting strict inversions (pairs i<j with x[i] > x[j])."""
-    n = len(x)
-    if n <= 1:
-        return x, 0
-    mid = n // 2
-    left, cl = _count_inversions(x[:mid])
-    right, cr = _count_inversions(x[mid:])
-    merged: list = []
-    count = cl + cr
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if right[j] < left[i]:
-            count += len(left) - i
-            merged.append(right[j])
-            j += 1
-        else:
-            merged.append(left[i])
-            i += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged, count
+def _run_offsets(starts: np.ndarray) -> np.ndarray:
+    """Index of each element within its run; `starts` flags the run heads."""
+    pos = np.arange(starts.size)
+    return pos - np.maximum.accumulate(np.where(starts, pos, 0))
 
 
-def _tie_pairs(sorted_vals: np.ndarray) -> int:
-    total = 0
-    run = 1
-    for k in range(1, len(sorted_vals)):
-        if sorted_vals[k] == sorted_vals[k - 1]:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
-    return total
+def _earlier_counts(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each position j, count the positions i < j with rank[i] < rank[j]
+    and those with rank[i] == rank[j].
+
+    Bottom-up merge sort of the keys `rank << bits | position`, padded to a
+    power of two at the end, where no real element counts the padding. Once
+    the blocks of width 2^(k+1) are sorted, an element of a block's right
+    half (position bit k set) is preceded by exactly the left-half elements
+    of rank <= its own: its index in the block less the right-half elements
+    up to it. The final order is by (rank, position), so its runs give the
+    equal counts.
+    """
+    n = rank.size
+    bits = (n - 1).bit_length()
+    size = 1 << bits
+    idx = np.arange(size, dtype=np.int64)
+    keys = np.zeros(size, dtype=np.int64)
+    keys[:n] = rank
+    keys = (keys << bits) | idx
+    lower_eq = np.zeros(size, dtype=np.int64)
+    for k in range(bits):
+        keys = np.sort(keys.reshape(-1, 2 << k), axis=1).ravel()
+        right = (keys >> k) & 1
+        # each earlier block holds 2^k right-half elements
+        before = idx + 1 - np.cumsum(right) - ((idx >> (k + 1)) << k)
+        lower_eq[keys & (size - 1)] += right * before
+    in_order = keys >> bits
+    equal = np.empty(size, dtype=np.int64)
+    equal[keys & (size - 1)] = _run_offsets(np.r_[True, in_order[1:] != in_order[:-1]])
+    return (lower_eq - equal)[:n], equal[:n]
 
 
-def _joint_tie_pairs(a_s: np.ndarray, b_s: np.ndarray) -> int:
-    total = 0
-    run = 1
-    for k in range(1, len(a_s)):
-        if a_s[k] == a_s[k - 1] and b_s[k] == b_s[k - 1]:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
-    return total
+def _prefix_counts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair counts of every tie-inclusive top prefix of column a, in one sweep.
+
+    Returns `ends`, the prefix sizes (the end of each tie group of a in
+    descending order), and `sums`, an int64 array whose rows are ties_a,
+    ties_b, ties_ab and the discordant pairs of the top-`ends[g]` nodes.
+    Within a tie group of a the order is b descending, so an earlier node
+    with a smaller b always lies in an earlier group: that pair is
+    discordant, never tied in a.
+    """
+    n = a.size
+    rank_a, rank_b = (np.unique(x, return_inverse=True)[1] for x in (a, b))
+    key = np.sort(rank_a * n + rank_b)[::-1]
+    rank_a, rank_b = np.divmod(key, n)
+    new_a = np.r_[True, rank_a[1:] != rank_a[:-1]]
+    lower, equal = _earlier_counts(rank_b)
+    ends = np.flatnonzero(np.r_[new_a[1:], True]) + 1
+    sums = np.cumsum([
+        _run_offsets(new_a),
+        equal,
+        _run_offsets(np.r_[True, key[1:] != key[:-1]]),
+        lower,
+    ], axis=1)
+    return ends, sums[:, ends - 1]
+
+
+def _tau_b(n: int, ties_a: int, ties_b: int, ties_ab: int, discordant: int) -> float:
+    n0 = n * (n - 1) // 2
+    numerator = n0 - ties_a - ties_b + ties_ab - 2 * discordant
+    # one sqrt of the exact Python-int product keeps the +/-1 cases exact
+    # (the product overflows int64 from n of about 78,000)
+    denom = math.sqrt((n0 - ties_a) * (n0 - ties_b))
+    if denom == 0:
+        return float("nan")
+    return numerator / denom
 
 
 def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
-    """Tie-corrected Kendall rank correlation (tau-b) in O(n log n).
+    """Tie-corrected Kendall rank correlation (tau-b) in O(n log² n).
 
-    Returns NaN when either column is fully tied (tau undefined).
+    The pair counts come from the same sweep as `topk_curve` (its full-size
+    prefix) and stay exact integers. Returns NaN when either column is fully
+    tied (tau undefined).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -93,19 +111,8 @@ def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
     n = a.size
     if n < 2:
         raise DataError("kendall_tau needs at least 2 entries")
-    order = np.lexsort((b, a))
-    a_s, b_s = a[order], b[order]
-    n0 = n * (n - 1) // 2
-    ties_a = _tie_pairs(a_s)
-    ties_b = _tie_pairs(np.sort(b))
-    ties_ab = _joint_tie_pairs(a_s, b_s)
-    _, discordant = _count_inversions(b_s.tolist())
-    numerator = n0 - ties_a - ties_b + ties_ab - 2 * discordant
-    # single sqrt of the exact integer product keeps the +/-1 cases exact
-    denom = math.sqrt((n0 - ties_a) * (n0 - ties_b))
-    if denom == 0:
-        return float("nan")
-    return numerator / denom
+    _, sums = _prefix_counts(a, b)
+    return _tau_b(n, *sums[:, -1].tolist())
 
 
 # ──────────────────────────────────────────────────────────────────────
@@ -163,22 +170,9 @@ def pairwise_heatmap(table: RankingTable) -> np.ndarray:
     if k < 2:
         raise DataError("heatmap needs at least 2 columns")
     out = np.eye(k)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-    def fill(pair):
-        i, j = pair
-        out[i, j] = out[j, i] = kendall_tau(table.columns[i], table.columns[j])
-
-    cap = _thread_cap()
-    if cap > 1:
-        # imported here: the pool is opt-in, and the import costs every CLI start
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            list(pool.map(fill, pairs))
-    else:
-        for pair in pairs:
-            fill(pair)
+    for i in range(k):
+        for j in range(i + 1, k):
+            out[i, j] = out[j, i] = kendall_tau(table.columns[i], table.columns[j])
     return out
 
 
@@ -188,7 +182,8 @@ def topk_curve(a: Sequence[float], b: Sequence[float], ks: Sequence[int]) -> Cur
     Nodes tied with the K-th score are all included, so each point records
     the actual set size; requested sizes below 2 are skipped and duplicate
     actual sizes are emitted once. Direction matters: the selection always
-    comes from column a.
+    comes from column a. One O(n log² n) sweep yields the pair counts of
+    every such prefix, so the cost does not grow with the number of Ks.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -198,22 +193,17 @@ def topk_curve(a: Sequence[float], b: Sequence[float], ks: Sequence[int]) -> Cur
     if ks != sorted(ks):
         raise DataError("Ks must be sorted ascending")
     n = a.size
-    a_desc = np.sort(a)[::-1]
-    out: Curve = []
-    seen: set[int] = set()
+    ks = [k for k in ks if k >= 2]
     for k in ks:
-        if k < 2:
-            continue
         if k > n:
             raise DataError(f"K={k} exceeds table size {n}")
-        boundary = a_desc[k - 1]
-        sel = a >= boundary
-        actual = int(sel.sum())
-        if actual in seen:
-            continue
-        seen.add(actual)
-        out.append((actual, kendall_tau(a[sel], b[sel])))
-    return out
+    if not ks:
+        return []
+    ends, sums = _prefix_counts(a, b)
+    # each K reads the prefix that ends with the tie group of its K-th node
+    g = np.unique(np.searchsorted(ends, ks))
+    rows = zip(ends[g].tolist(), *sums[:, g].tolist())
+    return [(row[0], _tau_b(*row)) for row in rows]
 
 
 def default_ks(n: int, points: int = 24, start: int = 10) -> list[int]:

@@ -130,6 +130,14 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 1
 
+    def test_usage_error_malformed_topk(self, tmp_path, capsys):
+        prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
+        code = main(["compare", "--methods", "u2,u3", "--input", prefix,
+                     "--out-dir", str(tmp_path / "out"), "--topk", "10,x"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--topk" in err
+
     def test_disconnected_without_lcc(self, tmp_path):
         prefix = write_dataset(tmp_path, [2, 2], [1, 2, 3, 4])
         code = main(["centrality", "--method", "uphec", "--p", "2",

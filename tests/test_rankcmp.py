@@ -117,17 +117,6 @@ class TestHeatmap:
         })
         np.testing.assert_allclose(hr.pairwise_heatmap(table), np.ones((2, 2)))
 
-    def test_thread_cap_param_matches_sequential(self, monkeypatch):
-        rng = random.Random(5)
-        cols = {
-            f"M{k}": {i: rng.random() for i in range(30)} for k in range(4)
-        }
-        table = hr.RankingTable.from_scores(cols)
-        seq = hr.pairwise_heatmap(table)
-        monkeypatch.setenv("HYPERRANK_THREADS", "4")
-        par = hr.pairwise_heatmap(table)
-        np.testing.assert_array_equal(seq, par)
-
     def test_needs_two_columns(self):
         table = hr.RankingTable.from_scores({"A": {1: 0.3, 2: 0.7}})
         with pytest.raises(hr.DataError):
@@ -175,6 +164,66 @@ class TestTopKCurve:
     def test_rejects_k_above_size(self):
         with pytest.raises(hr.DataError):
             hr.topk_curve([1.0, 2.0], [1.0, 2.0], [3])
+
+
+def _same(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@st.composite
+def _tie_heavy_column(draw, n):
+    kind = draw(st.sampled_from(["pool", "zero_filled", "free"]))
+    values = st.floats(0, 1, allow_nan=False)
+    if kind == "pool":
+        pool = draw(st.lists(values, min_size=1, max_size=4))
+        return [draw(st.sampled_from(pool)) for _ in range(n)]
+    col = draw(st.lists(values, min_size=n, max_size=n))
+    if kind == "zero_filled":
+        absent = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        col = [0.0 if gone else v for v, gone in zip(col, absent)]
+    return col
+
+
+class TestOneSweepExactness:
+    """Every curve point and heatmap cell equals brute force with `==`."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_curve_points_heatmap_and_symmetry(self, data):
+        n = data.draw(st.integers(2, 70))
+        a, b, c = (data.draw(_tie_heavy_column(n)) for _ in range(3))
+        ks = sorted(data.draw(st.lists(st.integers(0, n), max_size=8)) + [n])
+        a_desc = sorted(a, reverse=True)
+        want, seen = [], set()
+        for k in ks:
+            if k < 2:
+                continue
+            sel = [i for i in range(n) if a[i] >= a_desc[k - 1]]
+            if len(sel) not in seen:
+                seen.add(len(sel))
+                want.append((len(sel), kendall_tau_bruteforce(
+                    [a[i] for i in sel], [b[i] for i in sel])))
+        got = hr.topk_curve(a, b, ks)
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert all(_same(g, w) for (_, g), (_, w) in zip(got, want))
+
+        table = hr.RankingTable.from_scores(
+            [(tag, dict(enumerate(col))) for tag, col in
+             (("A", a), ("B", b), ("C", c))])
+        heat = hr.pairwise_heatmap(table)
+        assert _same(heat[0, 1], got[-1][1])
+        assert heat.tobytes() == heat.T.copy().tobytes()
+        assert _same(hr.kendall_tau(b, a), hr.kendall_tau(a, b))
+
+    def test_large_tied_columns_stay_exact(self):
+        # about 1,000 tie groups; n0 * n0 no longer fits in int64 here
+        n = 100_000
+        x = np.round(np.random.default_rng(4).random(n), 3)
+        assert hr.kendall_tau(x, x) == 1.0
+        assert hr.kendall_tau(x, -x) == -1.0
+        curve = hr.topk_curve(x, -x, [1000, n])
+        assert [t for _, t in curve] == [-1.0, -1.0]
+        assert curve[0][0] >= 1000 and curve[-1][0] == n
 
 
 class TestCurveFilter:

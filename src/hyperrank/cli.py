@@ -51,19 +51,40 @@ from .spectral import (
 )
 from .tensor import from_hypergraph
 
-METHODS = ("ec", "hec", "uhec", "uphec", "alt", "zec-uplift")
+# method -> (pipeline, order, `compare` tag, solves on the size-`order` slice).
+# The order is the option that sets it, a fixed order, or None. Pipelines are
+# named, not held: `_solve` looks each one up in this module when it runs, so
+# a wrapper rebound over the name (a tracer, say) sees every solve.
+_METHODS = {
+    "ec": ("eigenvector_centrality", 2, None, True),
+    "hec": ("hec", "order", "h", True),
+    "uhec": ("uhec", "order", None, False),
+    "uphec": ("uphec", "p", "u", False),
+    "alt": ("alt_centrality", "order", "a", False),
+    "zec-uplift": ("z_via_uplift", None, None, False),
+}
+METHODS = tuple(_METHODS)
+_TAGS = {tag: method for method, (_, _, tag, _) in _METHODS.items() if tag}
+
+# run parameters the manifests record and `--from-manifest` restores;
+# `compare` records those its parser defines
+_PARAMS = ("method", "order", "p", "norm", "input", "lcc", "aux_gauge",
+           "tol", "max_iter", "shift", "seed")
 
 
 # ──────────────────────────────────────────────────────────────────────
 #  Ingestion
 # ──────────────────────────────────────────────────────────────────────
 
-def _read_int_stream(path: Path) -> np.ndarray:
+def _read_text(path: Path) -> str:
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}")
-    tokens = text.split()
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def _read_int_stream(path: Path) -> np.ndarray:
+    tokens = _read_text(path).split()
     if not tokens:
         raise DataError(f"empty file: {path}")
     try:
@@ -82,7 +103,7 @@ def _read_int_stream(path: Path) -> np.ndarray:
 
 def _read_label_map(path: Path) -> dict[int, str]:
     mapping: dict[int, str] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in _read_text(path).splitlines():
         line = line.strip()
         if not line:
             continue
@@ -154,7 +175,11 @@ def _resolve_dataset(raw: str) -> tuple[Path, Path, Optional[Path]]:
     return nverts, simplices, labels if labels.exists() else None
 
 
-def _print_report(report: PreprocessReport) -> None:
+def _ingest(raw: str, keep_multiplicities: bool = False) -> tuple[Hypergraph, dict]:
+    """Ingest the dataset --input names, print its preprocessing report and
+    return the report as a dict."""
+    h, report = ingest_simplicial(*_resolve_dataset(raw),
+                                  keep_multiplicities=keep_multiplicities)
     d = report.as_dict()
     print(
         "ingested {raw_simplices} simplices: dropped {dropped_small} below size 2, "
@@ -162,10 +187,11 @@ def _print_report(report: PreprocessReport) -> None:
         "duplicates, dropped {dropped_isolated} isolated nodes -> "
         "{final_nodes} nodes, {final_edges} edges".format(**d)
     )
+    return h, d
 
 
 # ──────────────────────────────────────────────────────────────────────
-#  Output helpers
+#  Output and solving helpers
 # ──────────────────────────────────────────────────────────────────────
 
 def _write_scores_csv(path: Path, pairs) -> None:
@@ -183,6 +209,10 @@ def _write_manifest(path: Path, payload: dict) -> None:
     )
 
 
+def _params(args) -> dict:
+    return {key: getattr(args, key) for key in _PARAMS if hasattr(args, key)}
+
+
 def _ensure_connected(h: Hypergraph, use_lcc: bool) -> Hypergraph:
     if h.n and is_strongly_connected(h):
         return h
@@ -194,108 +224,73 @@ def _ensure_connected(h: Hypergraph, use_lcc: bool) -> Hypergraph:
     return largest_connected_component(h)
 
 
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        tol=args.tol, max_iter=args.max_iter, shift=args.shift, seed=args.seed
-    )
+def _solve(h: Hypergraph, method: str, order: Optional[int], args,
+           lcc: bool) -> tuple[dict, dict]:
+    """Run one method at `order`; returns (label->score, result meta).
+
+    A sliced method solves on the size-`order` edges alone. What it solves
+    on must be strongly connected, unless `lcc` lets the largest component
+    stand in for it.
+    """
+    pipeline, _, _, sliced = _METHODS[method]
+    solve = globals()[pipeline]
+    if sliced:
+        h = order_slice(h, order)
+        if not h.blocks:
+            raise DataError(f"no hyperedges of size {order} in the input")
+    h = _ensure_connected(h, lcc)
+    if method == "zec-uplift":
+        pair = solve(h, args.norm)
+        scores = dict(zip(pair.labels, (float(v) for v in pair.eigenvector.values)))
+        return scores, {"eigenvalue": pair.eigenvalue, "omega": pair.omega,
+                        "base_eigenvalue": pair.base_eigenvalue, "norm": pair.norm,
+                        "converged": True, "iterations": 0, "residual": 0.0}
+    opts = SolverOptions(tol=args.tol, max_iter=args.max_iter, shift=args.shift,
+                         seed=args.seed)
+    if method == "ec":
+        res = solve(from_hypergraph(h), opts, labels=h.labels)
+    elif sliced:
+        res = solve(h, opts, aux_gauge=args.aux_gauge)
+    else:
+        res = solve(h, order, opts, aux_gauge=args.aux_gauge)
+    return res.as_mapping(), {
+        "eigenvalue": res.eigenvalue, "residual": res.residual,
+        "iterations": res.iterations, "converged": res.converged,
+        "aux_scores": {str(k): v for k, v in res.aux_scores.items()},
+    }
 
 
 # ──────────────────────────────────────────────────────────────────────
 #  centrality
 # ──────────────────────────────────────────────────────────────────────
 
-def _run_method(h: Hypergraph, args) -> tuple[dict, dict]:
-    """Dispatch one centrality method; returns (label->score, result meta)."""
-    opts = _solver_options(args)
-    method = args.method
-    if method in ("ec", "hec"):
-        m = 2 if method == "ec" else args.order
-        if m is None:
-            raise DataError("--order is required for hec")
-        sl = order_slice(h, m)
-        if not sl.blocks:
-            raise DataError(f"no hyperedges of size {m} in the input")
-        sl = _ensure_connected(sl, args.lcc)
-        if method == "ec":
-            res = eigenvector_centrality(from_hypergraph(sl), opts, labels=sl.labels)
-        else:
-            res = hec(sl, opts, aux_gauge=args.aux_gauge)
-    elif method == "uhec":
-        if args.order is None:
-            raise DataError("--order is required for uhec")
-        res = uhec(_ensure_connected(h, args.lcc), args.order, opts,
-                   aux_gauge=args.aux_gauge)
-    elif method == "uphec":
-        if args.p is None:
-            raise DataError("--p is required for uphec")
-        res = uphec(_ensure_connected(h, args.lcc), args.p, opts,
-                    aux_gauge=args.aux_gauge)
-    elif method == "alt":
-        if args.order is None:
-            raise DataError("--order is required for alt")
-        res = alt_centrality(_ensure_connected(h, args.lcc), args.order, opts,
-                             aux_gauge=args.aux_gauge)
-    elif method == "zec-uplift":
-        pair = z_via_uplift(_ensure_connected(h, args.lcc), args.norm)
-        scores = dict(zip(pair.labels, (float(v) for v in pair.eigenvector.values)))
-        meta = {
-            "eigenvalue": pair.eigenvalue,
-            "base_eigenvalue": pair.base_eigenvalue,
-            "omega": pair.omega,
-            "norm": pair.norm,
-            "converged": True,
-            "iterations": 0,
-            "residual": 0.0,
-        }
-        return scores, meta
-    else:  # pragma: no cover - argparse restricts choices
-        raise DataError(f"unknown method {method!r}")
-    meta = {
-        "eigenvalue": res.eigenvalue,
-        "residual": res.residual,
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "aux_scores": {str(k): v for k, v in res.aux_scores.items()},
-    }
-    return res.as_mapping(), meta
+def _method_order(args) -> Optional[int]:
+    """The order `--method` runs at: fixed, none, or given by its option."""
+    if args.method not in _METHODS:  # only a stored manifest can get here
+        raise DataError(f"unknown method {args.method!r}")
+    order = _METHODS[args.method][1]
+    if isinstance(order, str):
+        if getattr(args, order) is None:
+            raise UsageError(f"--{order} is required for {args.method}")
+        return getattr(args, order)
+    return order
 
 
 def cmd_centrality(args) -> int:
     if args.from_manifest:
-        stored = json.loads(Path(args.from_manifest).read_text(encoding="utf-8"))
-        for key in ("method", "order", "p", "norm", "lcc", "aux_gauge",
-                    "tol", "max_iter", "shift", "seed", "input"):
+        stored = json.loads(_read_text(Path(args.from_manifest)))
+        for key in _PARAMS:
             if key in stored:
                 setattr(args, key, stored[key])
-    nverts, simplices, labels = _resolve_dataset(args.input)
-    keep = args.method == "zec-uplift"
-    h, report = ingest_simplicial(nverts, simplices, labels, keep_multiplicities=keep)
-    _print_report(report)
-
-    scores, meta = _run_method(h, args)
-
+    order = _method_order(args)
+    h, report = _ingest(args.input, keep_multiplicities=args.method == "zec-uplift")
+    scores, meta = _solve(h, args.method, order, args, args.lcc)
     out = Path(args.out)
     _write_scores_csv(out, scores.items())
-    manifest = {
-        "command": "centrality",
-        "method": args.method,
-        "order": args.order,
-        "p": args.p,
-        "norm": args.norm,
-        "lcc": args.lcc,
-        "aux_gauge": args.aux_gauge,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "shift": args.shift,
-        "seed": args.seed,
-        "input": args.input,
-        "normalization": "l1",
-        "preprocessing": report.as_dict(),
-        "result": meta,
-        "output": str(out),
-    }
+    manifest = {"command": "centrality", **_params(args), "normalization": "l1",
+                "preprocessing": report, "result": meta, "output": str(out)}
     _write_manifest(Path(args.manifest or f"{out}.manifest.json"), manifest)
-    if not meta.get("converged", True):
+    if not meta["converged"]:
         print("error: solver did not converge within max_iter", file=sys.stderr)
         return 3
     print(f"wrote {out}")
@@ -306,13 +301,14 @@ def cmd_centrality(args) -> int:
 #  compare
 # ──────────────────────────────────────────────────────────────────────
 
-def _parse_compare_tag(tag: str) -> tuple[str, int]:
+def _parse_compare_tag(tag: str) -> tuple[str, int, str]:
+    """A tag such as `u3` as (method, order, column name)."""
     tag = tag.strip().lower()
-    if len(tag) < 2 or tag[0] not in "uha" or not tag[1:].isdigit():
+    if tag[:1] not in _TAGS or not tag[1:].isdigit():
         raise UsageError(
             f"unknown method tag {tag!r}: expected u<p>, h<m>, or a<m>"
         )
-    return tag[0], int(tag[1:])
+    return _TAGS[tag[0]], int(tag[1:]), f"{tag[0].upper()}{int(tag[1:])}"
 
 
 def _parse_topk(raw: str) -> list[int]:
@@ -324,44 +320,24 @@ def _parse_topk(raw: str) -> list[int]:
         ) from None
 
 
-def _compare_scores(h: Hypergraph, kind: str, order: int, args) -> dict:
-    opts = _solver_options(args)
-    if kind == "h":
-        sl = order_slice(h, order)
-        if not sl.blocks:
-            raise DataError(f"no hyperedges of size {order} for method h{order}")
-        sl = largest_connected_component(sl)
-        res = hec(sl, opts, aux_gauge=args.aux_gauge)
-    elif kind == "u":
-        res = uphec(_ensure_connected(h, args.lcc), order, opts,
-                    aux_gauge=args.aux_gauge)
-    else:
-        res = alt_centrality(_ensure_connected(h, args.lcc), order, opts,
-                             aux_gauge=args.aux_gauge)
-    if not res.converged:
-        raise ConvergenceError(f"method {kind}{order} did not converge")
-    return res.as_mapping()
-
-
 def cmd_compare(args) -> int:
     ks = _parse_topk(args.topk) if args.topk else None
-    nverts, simplices, labels = _resolve_dataset(args.input)
-    h, report = ingest_simplicial(nverts, simplices, labels)
-    _print_report(report)
+    runs = [_parse_compare_tag(t) for t in args.methods.split(",") if t.strip()]
+    if len(runs) < 2:
+        raise UsageError("compare needs at least 2 method tags")
+    h, report = _ingest(args.input)
 
-    tags = [t for t in args.methods.split(",") if t.strip()]
-    if len(tags) < 2:
-        raise DataError("compare needs at least 2 method tags")
-    cache: dict[tuple[str, int], dict] = {}
-    columns: list[tuple[str, dict]] = []
-    for raw in tags:
-        kind, order = _parse_compare_tag(raw)
-        if (kind, order) not in cache:
-            print(f"running {kind.upper()}{order} ...")
-            cache[(kind, order)] = _compare_scores(h, kind, order, args)
-        columns.append((f"{kind.upper()}{order}", cache[(kind, order)]))
+    scores: dict[str, dict] = {}
+    for method, order, name in runs:
+        if name not in scores:
+            print(f"running {name} ...")
+            # an h<m> slice is always reduced to its largest component
+            scores[name], meta = _solve(h, method, order, args,
+                                        lcc=args.lcc or method == "hec")
+            if not meta["converged"]:
+                raise ConvergenceError(f"method {name} did not converge")
 
-    table = RankingTable.from_scores(columns)
+    table = RankingTable.from_scores([(name, scores[name]) for _, _, name in runs])
     heat = pairwise_heatmap(table)
 
     if ks is None:
@@ -380,20 +356,9 @@ def cmd_compare(args) -> int:
     write_heatmap_csv(out_dir / "heatmap.csv", table, heat)
     write_curves_csv(out_dir / "topk_curves.csv", curves)
     write_curves_csv(out_dir / "topk_curves_filtered.csv", filtered)
-    manifest = {
-        "command": "compare",
-        "methods": list(table.tags),
-        "input": args.input,
-        "lcc": args.lcc,
-        "aux_gauge": args.aux_gauge,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "shift": args.shift,
-        "seed": args.seed,
-        "topk": ks,
-        "preprocessing": report.as_dict(),
-        "outputs": ["heatmap.csv", "topk_curves.csv", "topk_curves_filtered.csv"],
-    }
+    manifest = {"command": "compare", "methods": list(table.tags), **_params(args),
+                "topk": ks, "preprocessing": report,
+                "outputs": ["heatmap.csv", "topk_curves.csv", "topk_curves_filtered.csv"]}
     _write_manifest(out_dir / "compare_manifest.json", manifest)
     print(f"wrote {out_dir}/heatmap.csv and top-K curve tables")
     return 0
@@ -404,9 +369,7 @@ def cmd_compare(args) -> int:
 # ──────────────────────────────────────────────────────────────────────
 
 def cmd_stats(args) -> int:
-    nverts, simplices, labels = _resolve_dataset(args.input)
-    h, report = ingest_simplicial(nverts, simplices, labels)
-    _print_report(report)
+    h, _ = _ingest(args.input)
     rec = stats(h)
     lines = ["order,nodes,hyperedges,lcc_pct"]
     for m, row in sorted(rec.per_order.items()):

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -75,10 +75,6 @@ class HyperEdge:
         """Build a simple (multiplicity-1) edge from distinct node indices."""
         return HyperEdge(tuple((v, 1) for v in nodes), weight)
 
-    @staticmethod
-    def from_multiset(mults: Mapping[int, int], weight: float = 1.0) -> "HyperEdge":
-        return HyperEdge(tuple(mults.items()), weight)
-
     @property
     def size(self) -> int:
         return sum(c for _, c in self.support)
@@ -100,10 +96,6 @@ class HyperEdge:
         for v, c in self.support:
             out.extend([v] * c)
         return tuple(out)
-
-    @property
-    def is_simple(self) -> bool:
-        return all(c == 1 for _, c in self.support)
 
 
 @dataclass(frozen=True)
@@ -237,10 +229,6 @@ class Hypergraph:
     @cached_property
     def label_to_index(self) -> dict:
         return {lab: i for i, lab in enumerate(self.labels)}
-
-    @property
-    def aux_set(self) -> frozenset:
-        return frozenset(self.aux.nodes)
 
     def is_uniform(self) -> bool:
         return len(self.blocks) == 1

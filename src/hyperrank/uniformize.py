@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 # Largest number of p-subset rows `project` may gather (about 0.5 GB of
-# int64 rows at p = 3); larger requests fail before allocating anything.
+# int64 rows at p = 3), and of composition rows `alternative_uniformization`
+# may repeat; larger requests fail before allocating anything.
 MAX_PROJECTED_ROWS = 20_000_000
 
 
@@ -182,6 +183,19 @@ def uplift_project(
     return uplift(project(h, p, counter), p, counter)
 
 
+def _composition_rows(size_histogram: Mapping[int, int], m: int) -> int:
+    """Rows `alternative_uniformization` builds for order m: the sum over
+    sizes s of E_s * C(m-1, s-1), the compositions of m into s parts.
+    Raises DataError above MAX_PROJECTED_ROWS."""
+    total = sum(count * math.comb(m - 1, s - 1) for s, count in size_histogram.items())
+    if total > MAX_PROJECTED_ROWS:
+        raise DataError(
+            f"uniformizing to order {m} would generate {total} composition rows, "
+            f"above the limit of {MAX_PROJECTED_ROWS}; choose a smaller order"
+        )
+    return total
+
+
 @lru_cache(maxsize=None)
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """All orderings of positive integers summing to `total` in `parts` slots."""
@@ -214,6 +228,7 @@ def alternative_uniformization(h: Hypergraph, m: int) -> Hypergraph:
     valued at weight * s / alpha with alpha the total arrangement count.
     """
     _check_order(h, m, "uniformize")
+    _composition_rows(h.edge_sizes(), m)
     rows, weights = [], []
     for s, (r, w) in h.blocks.items():
         _require_simple(r, "alternative uniformization")

@@ -24,6 +24,10 @@ def write_dataset(tmp_path, nverts, simplices, labels=None, prefix="toy"):
     return str(tmp_path / prefix)
 
 
+def as_bytes(data):
+    return data if isinstance(data, bytes) else data.encode()
+
+
 def read_scores(path):
     lines = path.read_text().splitlines()
     assert lines[0] == "node,score"
@@ -111,15 +115,49 @@ class TestExitCodes:
         ("3\n-1\n", "1 2\n", "simplex sizes must be positive"),
         ("3\n2\n", "1 2 3 4\n", "count mismatch"),
         ("", "1 2\n", "empty file"),
+        (b"2\n\xff\n", "1 2\n", "cannot read"),
+        ("2\n", b"1 \xff2\n", "cannot read"),
     ])
     def test_malformed_streams_report_data_error(self, tmp_path, capsys, nverts,
                                                  simplices, message):
-        (tmp_path / "toy-nverts.txt").write_text(nverts)
-        (tmp_path / "toy-simplices.txt").write_text(simplices)
+        (tmp_path / "toy-nverts.txt").write_bytes(as_bytes(nverts))
+        (tmp_path / "toy-simplices.txt").write_bytes(as_bytes(simplices))
         code = main(["stats", "--input", str(tmp_path / "toy"), "--out",
                      str(tmp_path / "s.csv")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make_labels", [
+        lambda path: path.write_bytes(b"1\tubuntu\n2\tgr\xffub\n"),
+        lambda path: path.mkdir(),
+    ], ids=["non-utf8", "directory"])
+    def test_unreadable_label_file_reports_data_error(self, tmp_path, capsys,
+                                                      make_labels):
+        prefix = write_dataset(tmp_path, [2], [1, 2])
+        make_labels(tmp_path / "toy-node-labels.txt")
+        code = main(["stats", "--input", prefix, "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--methods", "u2,u3,x4"], "unknown method tag 'x4'"),
+        (["compare", "--methods", "u2"], "at least 2 method tags"),
+        (["compare", "--methods", "u2,,"], "at least 2 method tags"),
+        (["centrality", "--method", "hec"], "--order is required for hec"),
+        (["centrality", "--method", "uhec"], "--order is required for uhec"),
+        (["centrality", "--method", "alt"], "--order is required for alt"),
+        (["centrality", "--method", "uphec"], "--p is required for uphec"),
+    ])
+    def test_argument_errors_before_ingest(self, tmp_path, capsys, argv, message):
+        prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
+        out = (["--out-dir", str(tmp_path / "out")] if argv[0] == "compare"
+               else ["--out", str(tmp_path / "o.csv")])
+        code = main(argv + ["--input", prefix] + out)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("usage error") and message in captured.err
+        assert captured.out == ""  # nothing ingested, no "running" line
+        assert not (tmp_path / "out").exists() and not (tmp_path / "o.csv").exists()
 
     def test_usage_error_unknown_flag(self):
         assert main(["centrality", "--definitely-not-a-flag"]) == 1
@@ -283,6 +321,20 @@ class TestCompare:
                          "--out-dir", str(out_dir)]) == 0
             outs.append((out_dir / "heatmap.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_h_slice_always_reduced_to_its_lcc(self, tmp_path):
+        # the order-2 slice {4,5},{6,7} is disconnected; the triple keeps the
+        # whole input one component, so only h2 needs the LCC
+        prefix = write_dataset(tmp_path, [3, 2, 2], [4, 6, 8, 4, 5, 6, 7])
+        assert main(["centrality", "--method", "hec", "--order", "2",
+                     "--input", prefix, "--out", str(tmp_path / "h.csv")]) == 2
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--methods", "h2,u2", "--input", prefix,
+                     "--out-dir", str(out_dir)]) == 0
+        heat = (out_dir / "heatmap.csv").read_text().splitlines()
+        assert heat[0] == "method,H2,U2"
+        manifest = json.loads((out_dir / "compare_manifest.json").read_text())
+        assert manifest["lcc"] is False
 
     def test_a2_column_identical_to_u2(self, tmp_path):
         prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)

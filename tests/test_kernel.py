@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import hyperrank as hr
 import reference
-from hyperrank.uniformize import MAX_PROJECTED_ROWS, projected_rows
+from hyperrank.uniformize import MAX_PROJECTED_ROWS, _composition_rows, projected_rows
 from oracles import dense_apply
 
 
@@ -166,3 +166,22 @@ class TestProjectionGuard:
             projected_rows({30: 1}, 10)
         with pytest.raises(hr.DataError, match="30045015"):
             hr.project(hr.Hypergraph.from_edge_list([list(range(30))]), 10)
+
+
+class TestCompositionGuard:
+    def test_count_from_histogram(self):
+        # compositions of 4 into s parts: C(3, s - 1) = 3, 3, 1 for s = 2, 3, 4
+        assert _composition_rows({2: 5, 3: 4, 4: 2}, 4) == 5 * 3 + 4 * 3 + 2 * 1
+
+    def test_rejects_criterion_9_histogram_at_order_16(self):
+        sizes = {2: 28134, 3: 52282, 4: 39158, 5: 25475}
+        assert _composition_rows(sizes, 12) == 18_052_804
+        # 28134*15 + 52282*105 + 39158*455 + 25475*1365 rows of 16 columns
+        with pytest.raises(hr.DataError, match="58501885"):
+            _composition_rows(sizes, 16)
+
+    def test_rejects_huge_order_before_enumerating(self):
+        # C(m - 1, 1) = 20,000,001 compositions of one pair at m = 20,000,002
+        with pytest.raises(hr.DataError, match="20000001"):
+            hr.alternative_uniformization(hr.Hypergraph.from_edge_list([[0, 1]]),
+                                          20_000_002)

@@ -278,7 +278,13 @@ def _method_order(args) -> Optional[int]:
 
 def cmd_centrality(args) -> int:
     if args.from_manifest:
-        stored = json.loads(_read_text(Path(args.from_manifest)))
+        path = Path(args.from_manifest)
+        try:
+            stored = json.loads(_read_text(path))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"cannot parse manifest {path}: {exc}") from None
+        if not isinstance(stored, dict):
+            raise DataError(f"manifest {path} does not hold a JSON object")
         for key in _PARAMS:
             if key in stored:
                 setattr(args, key, stored[key])

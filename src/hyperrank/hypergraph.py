@@ -5,8 +5,9 @@ Nodes are dense internal indices 0..n-1; every hypergraph carries a label
 tuple mapping indices back to the caller's node names. Edges are stored as
 one block per edge size s: an int64 array of shape (E_s, s) whose rows list
 each edge's node indices ascending (a node of multiplicity c appears c
-times) and a float64 weight array of length E_s. `HyperEdge` objects are
-only built on demand, by `Hypergraph.edges`. A `Hypergraph` is immutable:
+times) and a float64 weight array of length E_s; the blocks are the only
+way to build one. `HyperEdge` is the record that the read-only
+`Hypergraph.edges` view lists, built on demand. A `Hypergraph` is immutable:
 its attributes cannot be reassigned and its arrays are read-only, so it is
 safe to share across threads.
 """
@@ -48,32 +49,11 @@ def sort_labels(labels: Iterable[Hashable]) -> list:
 
 @dataclass(frozen=True)
 class HyperEdge:
-    """A weighted multiset of node indices.
-
-    `support` is a canonical sorted tuple of (node, multiplicity) pairs with
-    total multiplicity >= 2. Multiplicities above 1 only arise for auxiliary
-    nodes introduced by uplifting; plain input edges are simple sets.
-    """
+    """One edge as `Hypergraph.edges` lists it: `support` is the sorted tuple
+    of (node, multiplicity) pairs and `weight` the edge weight."""
 
     support: Support
-    weight: float = 1.0
-
-    def __post_init__(self):
-        sup = tuple(sorted((int(v), int(c)) for v, c in self.support))
-        object.__setattr__(self, "support", sup)
-        if any(c < 1 for _, c in sup):
-            raise DataError(f"multiplicities must be positive: {sup}")
-        if len({v for v, _ in sup}) != len(sup):
-            raise DataError(f"duplicate nodes in support: {sup}")
-        if self.size < 2:
-            raise DataError(f"hyperedge must have total size >= 2: {sup}")
-        if not self.weight > 0:
-            raise DataError(f"edge weight must be positive, got {self.weight}")
-
-    @staticmethod
-    def from_nodes(nodes: Iterable[int], weight: float = 1.0) -> "HyperEdge":
-        """Build a simple (multiplicity-1) edge from distinct node indices."""
-        return HyperEdge(tuple((v, 1) for v in nodes), weight)
+    weight: float
 
     @property
     def size(self) -> int:
@@ -83,19 +63,6 @@ class HyperEdge:
     def nodes(self) -> tuple[int, ...]:
         """Distinct node indices, ascending."""
         return tuple(v for v, _ in self.support)
-
-    def multiplicity(self, node: int) -> int:
-        for v, c in self.support:
-            if v == node:
-                return c
-        return 0
-
-    def expanded(self) -> tuple[int, ...]:
-        """Node indices with repetition, ascending."""
-        out = []
-        for v, c in self.support:
-            out.extend([v] * c)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -143,31 +110,18 @@ def _frozen(a, dtype) -> np.ndarray:
     return out
 
 
-def _blocks_from_edges(edges: Sequence[HyperEdge]) -> Blocks:
-    rows: dict[int, list] = {}
-    weights: dict[int, list] = {}
-    for e in edges:
-        row = e.expanded()
-        rows.setdefault(len(row), []).append(row)
-        weights.setdefault(len(row), []).append(e.weight)
-    return {s: (np.array(rows[s], dtype=np.int64), np.array(weights[s], dtype=float))
-            for s in sorted(rows)}
-
-
 class Hypergraph:
     """Immutable hypergraph on dense indices 0..n-1 with weighted edges.
 
-    Build it from `HyperEdge` objects (`edges`) or from size-class blocks
-    (`blocks`: {s: (nodes int64[E_s, s] with ascending rows, weight[E_s])}).
-    Rows may repeat within a block; consumers that need distinct edges merge
-    them. `edges` is materialized from the blocks on first access, sorted by
-    support.
+    Built from size-class blocks (`blocks`: {s: (nodes int64[E_s, s] with
+    ascending rows, weight[E_s])}). Rows may repeat within a block; consumers
+    that need distinct edges merge them. `edges` lists the blocks as
+    `HyperEdge` records on first access, sorted by support.
     """
 
     def __init__(
         self,
         n: int,
-        edges: Iterable[HyperEdge] = (),
         labels: tuple = (),
         aux: Optional[AuxSpec] = None,
         *,
@@ -183,14 +137,8 @@ class Hypergraph:
         aux = aux if aux is not None else AuxSpec()
         if any(a >= n for a in aux.nodes):
             raise DataError("aux node out of range")
-        if blocks is None:
-            edges = tuple(edges)
-            self.__dict__["edges"] = edges  # the given objects are the cached view
-            blocks = _blocks_from_edges(edges)
-        elif edges:
-            raise DataError("give edges or blocks, not both")
         clean: Blocks = {}
-        for s in sorted(blocks):
+        for s in sorted(blocks or {}):
             rows, weight = blocks[s]
             rows, weight = _frozen(rows, np.int64), _frozen(weight, float)
             if not len(rows):
@@ -199,6 +147,8 @@ class Hypergraph:
                 raise DataError(f"size-{s} block has shape {rows.shape}")
             if rows.min() < 0 or rows.max() >= n:
                 raise DataError(f"size-{s} block references a node outside 0..{n - 1}")
+            if not (rows[:, 1:] >= rows[:, :-1]).all():
+                raise DataError(f"size-{s} block has a row that is not ascending")
             if not (weight > 0).all():
                 raise DataError("edge weights must be positive")
             clean[s] = (rows, weight)
@@ -262,29 +212,33 @@ class Hypergraph:
         summing weights. `nodes` adds isolated nodes to the universe.
         """
         edge_lists = [list(e) for e in edge_lists]
-        if weights is None:
-            weights = [1.0] * len(edge_lists)
+        weights = np.ones(len(edge_lists)) if weights is None \
+            else np.asarray(weights, dtype=float)
+        if weights.shape != (len(edge_lists),):
+            raise DataError(f"weights have shape {weights.shape}, expected "
+                            f"({len(edge_lists)},), one per edge")
         universe = set(nodes)
         for e in edge_lists:
             universe.update(e)
         labels = tuple(sort_labels(universe))
         index = {lab: i for i, lab in enumerate(labels)}
 
-        merged: dict[Support, float] = {}
+        groups: dict[int, tuple[list, list]] = {}
         for e, w in zip(edge_lists, weights):
-            counts = Counter(index[v] for v in e)
-            if not keep_multiplicities:
-                if any(c > 1 for c in counts.values()):
-                    warnings.warn(
-                        f"collapsing repeated nodes within edge {e!r} to a set",
-                        stacklevel=2,
-                    )
-                counts = Counter(dict.fromkeys(counts, 1))
-            support = tuple(sorted(counts.items()))
-            merged[support] = merged.get(support, 0.0) + float(w)
-
-        edges = tuple(HyperEdge(s, w) for s, w in sorted(merged.items()))
-        return Hypergraph(len(labels), edges, labels)
+            row = sorted(index[v] for v in e)
+            if not keep_multiplicities and len(set(row)) < len(row):
+                warnings.warn(
+                    f"collapsing repeated nodes within edge {e!r} to a set",
+                    stacklevel=2,
+                )
+                row = sorted(set(row))
+            rows, ws = groups.setdefault(len(row), ([], []))
+            rows.append(row)
+            ws.append(w)
+        blocks = {s: merge_rows(np.array(rows, dtype=np.int64).reshape(len(rows), s),
+                                np.array(ws))
+                  for s, (rows, ws) in groups.items()}
+        return Hypergraph(len(labels), labels, blocks=blocks)
 
     def restrict(self, keep: np.ndarray, blocks: Blocks) -> "Hypergraph":
         """Sub-hypergraph on the ascending index array `keep`, re-densified and

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -287,47 +286,32 @@ def detect_uplift_structure(h: Hypergraph) -> Optional[AuxSpec]:
 
     Looks for a node subset present in every hyperedge with edge-independent
     multiplicities summing to (order - 2) whose removal leaves simple pairs.
-    Candidate subsets are tried preferring the highest node indices, so
+    Every node repeated within some edge must belong to it; the rest of the
+    subset is taken from the common single nodes, highest indices first, so
     freshly appended auxiliaries win when several decompositions exist.
     """
-    if not h.edges or not h.is_uniform():
+    if not h.is_uniform():
         return None
     m = h.max_size
     slack = m - 2
     if slack < 1:
         return None
 
-    common: dict[int, int] = {}
-    for v, c in h.edges[0].support:
-        if all(e.multiplicity(v) == c for e in h.edges[1:]):
-            common[v] = c
-    for e in h.edges:
-        for v, c in e.support:
-            if c >= 2 and common.get(v) != c:
-                return None  # a repeated node that cannot be removed
-
+    rows = h.blocks[m][0]
+    nodes, counts = np.unique(rows[0], return_counts=True)
+    common = {v: c for v, c in zip(nodes.tolist(), counts.tolist())
+              if ((rows == v).sum(axis=1) == c).all()}
     mandatory = [v for v, c in common.items() if c >= 2]
-    base = sum(common[v] for v in mandatory)
-    if base > slack:
-        return None
+    if not np.isin(rows[:, 1:][rows[:, 1:] == rows[:, :-1]], mandatory).all():
+        return None  # a repeated node that cannot be removed
     unit = sorted((v for v, c in common.items() if c == 1), reverse=True)
-    need = slack - base
-    if need > len(unit):
+    need = slack - sum(common[v] for v in mandatory)
+    if not 0 <= need <= len(unit):
         return None
-    for pick in combinations(unit, need):
-        sel = set(mandatory) | set(pick)
-        if _leftover_is_pairwise(h, sel):
-            nodes = tuple(sorted(sel))
-            return AuxSpec(nodes, tuple(common[v] for v in nodes))
-    return None
-
-
-def _leftover_is_pairwise(h: Hypergraph, sel: set[int]) -> bool:
-    for e in h.edges:
-        rest = [(v, c) for v, c in e.support if v not in sel]
-        if len(rest) != 2 or rest[0][1] != 1 or rest[1][1] != 1:
-            return False
-    return True
+    # Each edge keeps two cells outside the subset; a node repeated in an
+    # edge is mandatory, so those two cells are always distinct nodes.
+    nodes = tuple(sorted(mandatory + unit[:need]))
+    return AuxSpec(nodes, tuple(common[v] for v in nodes))
 
 
 def z_via_uplift(h: Hypergraph, norm: str) -> ZEigenpair:
@@ -351,21 +335,19 @@ def z_via_uplift(h: Hypergraph, norm: str) -> ZEigenpair:
             "hypergraph is not recognizable as an uplift of a pairwise graph; "
             "general Z-eigenvector computation is out of scope"
         )
-    sel = set(aux.nodes)
-    real = [i for i in range(h.n) if i not in sel]
-    pos = {v: k for k, v in enumerate(real)}
+    is_aux = np.zeros(h.n, dtype=bool)
+    is_aux[list(aux.nodes)] = True
+    real = np.flatnonzero(~is_aux)
     n_g = len(real)
     if n_g < 2:
         raise DataError("underlying pairwise graph needs at least 2 nodes")
 
+    rows, weight = h.blocks[h.max_size]
+    pairs = (np.cumsum(~is_aux) - 1)[rows[~is_aux[rows]]].reshape(-1, 2)
     A = np.zeros((n_g, n_g))
-    pairs = []
-    for e in h.edges:
-        i, j = [pos[v] for v, c in e.support if v not in sel]
-        A[i, j] += e.weight
-        A[j, i] += e.weight
-        pairs.append((i, j))
-    if (component_roots(n_g, [np.array(pairs)]) != 0).any():
+    np.add.at(A, (pairs[:, 0], pairs[:, 1]), weight)
+    np.add.at(A, (pairs[:, 1], pairs[:, 0]), weight)
+    if (component_roots(n_g, [pairs]) != 0).any():
         raise DataError("underlying pairwise graph is disconnected; " + _DISCONNECTED_MSG)
 
     eigvals, eigvecs = np.linalg.eigh(A)

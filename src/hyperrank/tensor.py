@@ -8,9 +8,10 @@ entry's support, every row shares the per-column multiplicities, and the
 entry's value is the row's weight. The represented array has that value at
 every index tuple whose multiset of indices equals the support, so an
 uplifted edge costs one row with its auxiliary node as one more column.
-`UniformTensor.entries` lists the (support, value) pairs on demand, for the
-reference code; nothing is densified in production paths, and `dense_oracle`
-exists for cross-checking on small instances.
+Blocks are the only way to build a tensor. The read-only
+`UniformTensor.entries` view lists the (support, value) pairs on demand for
+`flattening_matrix` and `dense_oracle`, which exist for cross-checking on
+small instances; nothing is densified in production paths.
 """
 
 from __future__ import annotations
@@ -119,17 +120,6 @@ def split_patterns(rows: np.ndarray, weight: np.ndarray) -> list[Block]:
     return out
 
 
-def _blocks_from_entries(entries) -> list[Block]:
-    groups: dict[tuple[int, ...], tuple[list, list]] = {}
-    for support, value in entries:
-        rows, values = groups.setdefault(tuple(c for _, c in support), ([], []))
-        rows.append([v for v, _ in support])
-        values.append(value)
-    return [Block(np.array(rows, dtype=np.int64).reshape(len(rows), len(mult)),
-                  np.array(values, dtype=float), mult)
-            for mult, (rows, values) in groups.items()]
-
-
 def _arrangements(order: int, mults: tuple[int, ...], k: int) -> int:
     """Orderings of the other order-1 indices of a support with one index
     of multiplicity mults[k] fixed in front."""
@@ -140,39 +130,23 @@ def _arrangements(order: int, mults: tuple[int, ...], k: int) -> int:
     return count
 
 
-class UniformTensor:
-    """Order-m symmetric tensor on `dim` indices, held as `Block`s.
+def _check_max_order(order: int) -> None:
+    """Refuse orders whose arrangement counts the kernels do not support."""
+    if order > _MAX_ORDER:
+        raise DataError(f"tensor order {order} exceeds supported {_MAX_ORDER}")
 
-    Build it from (support, value) `entries` or from `blocks`. Supports may
-    repeat across blocks; the tensor sums their values.
+
+class UniformTensor:
+    """Order-m symmetric tensor on `dim` indices, held as `Block`s. Supports
+    may repeat across blocks; the tensor sums their values.
     """
 
-    def __init__(self, order: int, dim: int,
-                 entries: Iterable[tuple[Support, float]] = (), *,
-                 blocks: Iterable[Block] = ()):
+    def __init__(self, order: int, dim: int, *, blocks: Iterable[Block] = ()):
         if order < 2:
             raise DataError("tensor order must be >= 2")
-        if order > _MAX_ORDER:
-            raise DataError(f"tensor order {order} exceeds supported {_MAX_ORDER}")
+        _check_max_order(order)
         self.order = order
         self.dim = dim
-        entries = tuple(entries)
-        if entries:
-            if blocks:
-                raise DataError("give entries or blocks, not both")
-            seen = set()
-            for support, value in entries:
-                if sum(c for _, c in support) != order:
-                    raise DataError(f"support {support} does not sum to order {order}")
-                if any(v < 0 or v >= dim for v, _ in support):
-                    raise DataError(f"support {support} out of range for dim {dim}")
-                if support in seen:
-                    raise DataError(f"duplicate support {support}")
-                if not value > 0:
-                    raise DataError(f"entry value must be positive, got {value}")
-                seen.add(support)
-            self.__dict__["entries"] = entries  # the given entries are the cached view
-            blocks = _blocks_from_entries(entries)
         self.blocks = tuple(b for b in blocks if len(b.rows))
         for b in self.blocks:
             if sum(b.mult) != order or b.rows.shape != (len(b.weight), len(b.mult)):

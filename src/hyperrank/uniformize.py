@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DataError
 from .hypergraph import AuxSpec, Hypergraph, merge_rows
+from .tensor import _check_max_order
 
 __all__ = [
     "BuildCounter",
@@ -86,6 +87,7 @@ def uplift(h: Hypergraph, m: int, counter: BuildCounter | None = None) -> Hyperg
     through. Identity when nothing needs padding (no auxiliary node added).
     """
     _check_order(h, m, "uplift")
+    _check_max_order(m)
     if all(s == m for s in h.blocks):
         return h
     star = h.n
@@ -111,6 +113,7 @@ def multi_uplift(
     appearing p[k] times in every edge. Weights are left unchanged.
     """
     p = tuple(int(v) for v in p)
+    _check_max_order(m)
     if not h.is_uniform():
         raise DataError("multi_uplift requires a uniform hypergraph with edges")
     big_m = h.max_size
@@ -153,6 +156,7 @@ def project(h: Hypergraph, p: int, counter: BuildCounter | None = None) -> Hyper
     """
     if p < 2:
         raise DataError(f"projection order must be >= 2, got {p}")
+    _check_max_order(p)
     projected_rows(h.edge_sizes(), p)
     blocks = {}
     rows_p, weights_p = [], []
@@ -229,6 +233,7 @@ def alternative_uniformization(h: Hypergraph, m: int) -> Hypergraph:
     """
     _check_order(h, m, "uniformize")
     _composition_rows(h.edge_sizes(), m)
+    _check_max_order(m)
     rows, weights = [], []
     for s, (r, w) in h.blocks.items():
         _require_simple(r, "alternative uniformization")

@@ -1,10 +1,12 @@
 """Object-path reference for the array kernels, used only as a verifier.
 
 These are the per-edge implementations the package used before its
-size-class array kernels: every rewrite builds `HyperEdge` objects, a tensor
-is a sorted tuple of (support, value) entries, and `apply` expands every
-(entry, node) pair into a row of m-1 indices. They read hypergraphs through
-`Hypergraph.edges` only, so they share no code with the kernels under test.
+size-class array kernels: every rewrite builds (support, weight) pairs, a
+tensor is a sorted tuple of (support, value) entries, `apply` expands every
+(entry, node) pair into a row of m-1 indices, and the uplift detection and
+Z-eigenpair scan edge by edge. They read hypergraphs through the
+`Hypergraph.edges` view only, and build them through `hypergraph` below, so
+they share no code with the kernels under test.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 import hyperrank as hr
 from hyperrank.hypergraph import _label_sort_key, sort_labels
@@ -64,6 +68,20 @@ def build_preprocessed(simplices, keep_multiplicities=False):
 
 # ---- rewrites ----------------------------------------------------------
 
+def hypergraph(n, edges, labels, aux) -> hr.Hypergraph:
+    """The hypergraph holding `edges`, (support, weight) pairs whose supports
+    list their nodes ascending, one block row per pair."""
+    groups: dict[int, tuple[list, list]] = {}
+    for support, w in edges:
+        row = [v for v, c in support for _ in range(c)]
+        rows, weights = groups.setdefault(len(row), ([], []))
+        rows.append(row)
+        weights.append(w)
+    blocks = {s: (np.array(rows, dtype=np.int64), np.array(weights))
+              for s, (rows, weights) in groups.items()}
+    return hr.Hypergraph(n, labels, aux, blocks=blocks)
+
+
 def uplift(h: hr.Hypergraph, m: int) -> hr.Hypergraph:
     if all(e.size == m for e in h.edges):
         return h
@@ -71,13 +89,13 @@ def uplift(h: hr.Hypergraph, m: int) -> hr.Hypergraph:
     new_edges = []
     for e in h.edges:
         if e.size == m:
-            new_edges.append(e)
+            new_edges.append((e.support, e.weight))
         else:
-            new_edges.append(hr.HyperEdge(e.support + ((star, m - e.size),),
-                                          e.weight * star_factor(m, e.size)))
+            new_edges.append((e.support + ((star, m - e.size),),
+                              e.weight * star_factor(m, e.size)))
     aux = hr.AuxSpec(h.aux.nodes + (star,), h.aux.multiplicities + (None,))
-    return hr.Hypergraph(h.n + 1, tuple(new_edges),
-                         h.labels + (_fresh_label(set(h.labels), "*"),), aux)
+    return hypergraph(h.n + 1, new_edges,
+                      h.labels + (_fresh_label(set(h.labels), "*"),), aux)
 
 
 def project(h: hr.Hypergraph, p: int) -> hr.Hypergraph:
@@ -89,8 +107,7 @@ def project(h: hr.Hypergraph, p: int) -> hr.Hypergraph:
         for sub in combinations(e.nodes, p):
             support = tuple((v, 1) for v in sub)
             merged[support] = merged.get(support, 0.0) + e.weight
-    edges = tuple(hr.HyperEdge(s, w) for s, w in sorted(merged.items()))
-    return hr.Hypergraph(h.n, edges, h.labels, h.aux)
+    return hypergraph(h.n, sorted(merged.items()), h.labels, h.aux)
 
 
 def uplift_project(h: hr.Hypergraph, p: int) -> hr.Hypergraph:
@@ -104,8 +121,7 @@ def alternative_uniformization(h: hr.Hypergraph, m: int) -> hr.Hypergraph:
         for comp in _compositions(m, e.size):
             support = tuple((v, c) for v, c in zip(e.nodes, comp))
             merged[support] = merged.get(support, 0.0) + value
-    edges = tuple(hr.HyperEdge(s, w) for s, w in sorted(merged.items()))
-    return hr.Hypergraph(h.n, edges, h.labels, h.aux)
+    return hypergraph(h.n, sorted(merged.items()), h.labels, h.aux)
 
 
 def construction(h: hr.Hypergraph, kind: str, m: int, aux_gauge: bool) -> hr.Hypergraph:
@@ -179,3 +195,92 @@ def centrality(g: hr.Hypergraph, tol: float) -> tuple[float, np.ndarray]:
     lam, x = h_eigen_power(g.max_size, g.n, tensor_entries(g), tol)
     real = [i for i in range(g.n) if i not in set(g.aux.nodes)]
     return lam, x[real] / x[real].sum()
+
+
+# ---- Z-eigenpairs via uplift structure -----------------------------------
+
+def detect_uplift_structure(h: hr.Hypergraph) -> Optional[hr.AuxSpec]:
+    """The aux subset of a padded pairwise graph, tried over every candidate
+    subset, highest node indices first."""
+    if not h.edges or not h.is_uniform():
+        return None
+    m = h.max_size
+    slack = m - 2
+    if slack < 1:
+        return None
+
+    common: dict[int, int] = {}
+    for v, c in h.edges[0].support:
+        if all(dict(e.support).get(v, 0) == c for e in h.edges[1:]):
+            common[v] = c
+    for e in h.edges:
+        for v, c in e.support:
+            if c >= 2 and common.get(v) != c:
+                return None  # a repeated node that cannot be removed
+
+    mandatory = [v for v, c in common.items() if c >= 2]
+    base = sum(common[v] for v in mandatory)
+    if base > slack:
+        return None
+    unit = sorted((v for v, c in common.items() if c == 1), reverse=True)
+    need = slack - base
+    if need > len(unit):
+        return None
+    for pick in combinations(unit, need):
+        sel = set(mandatory) | set(pick)
+        if _leftover_is_pairwise(h, sel):
+            nodes = tuple(sorted(sel))
+            return hr.AuxSpec(nodes, tuple(common[v] for v in nodes))
+    return None
+
+
+def _leftover_is_pairwise(h: hr.Hypergraph, sel: set[int]) -> bool:
+    for e in h.edges:
+        rest = [(v, c) for v, c in e.support if v not in sel]
+        if len(rest) != 2 or rest[0][1] != 1 or rest[1][1] != 1:
+            return False
+    return True
+
+
+def z_via_uplift(h: hr.Hypergraph, norm: str) -> tuple[np.ndarray, float]:
+    """(eigenvector, eigenvalue) of the package's closed-form Z-eigenpair,
+    with the pairwise matrix summed edge by edge."""
+    aux = detect_uplift_structure(h)
+    if aux is None:
+        raise hr.DataError(
+            "hypergraph is not recognizable as an uplift of a pairwise graph; "
+            "general Z-eigenvector computation is out of scope"
+        )
+    sel = set(aux.nodes)
+    real = [i for i in range(h.n) if i not in sel]
+    pos = {v: k for k, v in enumerate(real)}
+    n_g = len(real)
+    if n_g < 2:
+        raise hr.DataError("underlying pairwise graph needs at least 2 nodes")
+    A = np.zeros((n_g, n_g))
+    for e in h.edges:
+        i, j = [pos[v] for v, c in e.support if v not in sel]
+        A[i, j] += e.weight
+        A[j, i] += e.weight
+    if connected_components(A, directed=False, return_labels=False) != 1:
+        raise hr.DataError("underlying pairwise graph is disconnected")
+    eigvals, eigvecs = np.linalg.eigh(A)
+    lam = float(eigvals[-1])
+    c = eigvecs[:, -1]
+    if c.sum() < 0:
+        c = -c
+    if not (c > 0).all():
+        raise hr.ConvergenceError("dense eigensolver returned a non-positive Perron vector")
+    q = 0.5 * float(c @ A @ c)
+    full = np.zeros(h.n)
+    full[real] = c
+    for a, p_a in zip(aux.nodes, aux.multiplicities):
+        full[a] = math.sqrt(p_a * q / lam)
+    vector = hr.ScoreVector.normalized(full, "l1" if norm == "z1" else "l2").values
+    omega = math.factorial(h.max_size - 1)
+    for p_a in aux.multiplicities:
+        omega //= math.factorial(p_a)
+    lam_tensor = lam * omega
+    for a, p_a in zip(aux.nodes, aux.multiplicities):
+        lam_tensor *= float(vector[a]) ** p_a
+    return vector, lam_tensor

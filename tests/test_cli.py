@@ -187,6 +187,18 @@ class TestExitCodes:
                      "--out", str(tmp_path / "s.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"method": ', "cannot parse manifest"),
+        ('"method"', "does not hold a JSON object"),
+    ])
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys, text, message):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text)
+        code = main(["centrality", "--method", "ec", "--from-manifest", str(manifest),
+                     "--input", "ignored", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_convergence_failure(self, tmp_path):
         prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
         code = main(["centrality", "--method", "uphec", "--p", "3",

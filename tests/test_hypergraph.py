@@ -152,11 +152,23 @@ class TestConstruction:
 
     def test_rejects_singleton_edge(self):
         with pytest.raises(hr.DataError):
-            hr.HyperEdge.from_nodes([3])
+            hr.Hypergraph(4, blocks={1: ([[3]], [1.0])})
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(hr.DataError):
-            hr.HyperEdge.from_nodes([0, 1], weight=0.0)
+            hr.Hypergraph(2, blocks={2: ([[0, 1]], [0.0])})
+
+    def test_rejects_non_ascending_rows(self):
+        # [0, 1, 0] would read as node 0 twice in `edges` but as three
+        # distinct columns in the tensor
+        with pytest.raises(hr.DataError, match="not ascending"):
+            hr.Hypergraph(2, blocks={3: ([[0, 1, 0]], [1.0])})
+        assert hr.Hypergraph(2, blocks={3: ([[0, 0, 1]], [1.0])}).num_edges == 1
+
+    def test_weights_must_match_edges(self):
+        for weights in ([1.0], 1.0):
+            with pytest.raises(hr.DataError, match="one per edge"):
+                hr.Hypergraph.from_edge_list([[1, 2], [2, 3]], weights)
 
     def test_blocks_are_read_only_copies(self):
         rows = np.array([[0, 1], [1, 2]])

@@ -129,6 +129,96 @@ class TestPipelinesMatchReference:
         assert res.eigenvalue == pytest.approx(lam, rel=1e-10)
 
 
+@st.composite
+def padded_graphs(draw, n_max=7):
+    """(edges, weights, p): a random connected graph on the labels 10, 11, ...
+    and aux multiplicities p, a tuple of positive ints summing to 1..5."""
+    n = draw(st.integers(2, n_max))
+    nodes = draw(st.permutations(range(10, 10 + n)))
+    edges = [[nodes[k], nodes[draw(st.integers(0, k - 1))]] for k in range(1, n)]
+    for _ in range(draw(st.integers(0, 5))):
+        edges.append(draw(st.permutations(nodes))[:2])
+    weights = [draw(st.floats(0.25, 2.0)) for _ in edges]
+    p = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    return edges, weights, p[:1] if sum(p) > 5 else p
+
+
+@st.composite
+def uniform_multisets(draw):
+    """A uniform hypergraph whose edges draw m nodes with repetition from a
+    few labels; most are not uplifts."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(3, 6))
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=m, max_size=m),
+                          min_size=1, max_size=6))
+    weights = [draw(st.floats(0.25, 2.0)) for _ in edges]
+    return hr.Hypergraph.from_edge_list(edges, weights, keep_multiplicities=True)
+
+
+def z_outcome(solve, h, norm):
+    """(eigenvector bytes, eigenvalue) of one Z-eigenpair solver, or the
+    type of the error it raised."""
+    try:
+        vector, value = solve(h, norm)
+    except hr.HyperrankError as exc:
+        return type(exc)
+    return vector.tobytes(), value
+
+
+def package_z(h, norm):
+    pair = hr.z_via_uplift(h, norm)
+    return pair.eigenvector.values, pair.eigenvalue
+
+
+class TestUpliftDetectionMatchesReference:
+    """The block scan of `detect_uplift_structure` and `z_via_uplift` against
+    the edge-by-edge reference: the same `AuxSpec` (or None), and the same
+    vector and eigenvalue bit for bit."""
+
+    def check(self, h):
+        assert hr.detect_uplift_structure(h) == reference.detect_uplift_structure(h)
+        for norm in ("z1", "z2"):
+            want = z_outcome(reference.z_via_uplift, h, norm)
+            assert z_outcome(package_z, h, norm) == want
+
+    @given(padded_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_multi_uplift(self, graph):
+        edges, weights, p = graph
+        g = hr.Hypergraph.from_edge_list(edges, weights)
+        self.check(hr.multi_uplift(g, 2 + sum(p), p))
+
+    @given(padded_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_aux_labels_sort_first(self, graph):
+        # aux labels 0, 1, ... sort before the graph's 10, 11, ..., so the
+        # aux nodes take the lowest indices, and the highest-index preference
+        # can pick graph nodes where every edge shares one
+        edges, weights, p = graph
+        pad = [k for k, c in enumerate(p) for _ in range(c)]
+        h = hr.Hypergraph.from_edge_list([e + pad for e in edges], weights,
+                                         keep_multiplicities=True)
+        self.check(h)
+
+    @given(padded_graphs(), st.integers(0, 2), st.integers(0, 2), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_plain_uplift(self, graph, triples, extra, data):
+        # the auxiliary node pads pairs and triples to different multiplicities
+        edges, weights, _ = graph
+        nodes = sorted({v for e in edges for v in e})
+        if len(nodes) >= 3:
+            for _ in range(triples):
+                edges.append(data.draw(st.permutations(nodes))[:3])
+                weights.append(1.0)
+        h = hr.Hypergraph.from_edge_list(edges, weights)
+        self.check(hr.uplift(h, max(3, h.max_size) + extra))
+
+    @given(uniform_multisets())
+    @settings(max_examples=150, deadline=None)
+    def test_random_uniform_inputs(self, h):
+        self.check(h)
+
+
 class TestPreprocessMatchesReference:
     @given(st.lists(st.lists(st.integers(0, 9), max_size=5), min_size=1, max_size=15),
            st.booleans())

@@ -98,7 +98,7 @@ class TestHEigenPower:
         t1 = hr.from_hypergraph(g)
         gamma = 3.7
         t2 = hr.UniformTensor(
-            t1.order, t1.dim, tuple((s, gamma * v) for s, v in t1.entries)
+            t1.order, t1.dim, blocks=[b._replace(weight=gamma * b.weight) for b in t1.blocks]
         )
         r1 = hr.h_eigen_power(t1)
         r2 = hr.h_eigen_power(t2)

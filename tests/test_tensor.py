@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hyperrank as hr
+from hyperrank.tensor import Block
 from oracles import dense_apply, dense_flattening, random_hypergraph
 
 
@@ -27,8 +28,7 @@ class TestFromHypergraph:
         assert hr.dense_oracle(t).tolist() == [[0, 1], [1, 0]]
 
     def test_duplicate_supports_merge(self):
-        e = hr.HyperEdge.from_nodes([0, 1], weight=1.5)
-        h = hr.Hypergraph(2, (e, e))
+        h = hr.Hypergraph(2, blocks={2: ([[0, 1], [0, 1]], [1.5, 1.5])})
         t = hr.from_hypergraph(h)
         assert t.entries == ((((0, 1), (1, 1)), 3.0),)
 
@@ -39,7 +39,8 @@ class TestFromHypergraph:
 
 class TestApply:
     def test_single_multiset_entry_counts_arrangements(self):
-        t = hr.UniformTensor(3, 3, ((((0, 1), (1, 1), (2, 1)), 1 / 3),))
+        t = hr.UniformTensor(3, 3, blocks=[Block(np.array([[0, 1, 2]]),
+                                                 np.array([1 / 3]), (1, 1, 1))])
         y = hr.apply(t, np.ones(3))
         assert np.allclose(y, 2 / 3)  # 2 arrangements of the other two indices
 
@@ -133,7 +134,7 @@ class TestDenseOracle:
             assert np.max(np.abs(hr.apply(t, x) - dense_apply(dense, x))) <= 1e-12
 
     def test_size_guard(self):
-        h = hr.Hypergraph(40, (hr.HyperEdge.from_nodes(range(6)),))
+        h = hr.Hypergraph(40, blocks={6: ([list(range(6))], [1.0])})
         t = hr.from_hypergraph(h)
         with pytest.raises(hr.DataError):
             hr.dense_oracle(t)

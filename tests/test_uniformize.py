@@ -68,7 +68,7 @@ class TestMultiUplift:
     def test_squared_aux(self):
         h = hr.Hypergraph.from_edge_list([[1, 2], [2, 3]])
         g = hr.multi_uplift(h, 4, (2,))
-        assert all(e.multiplicity(3) == 2 for e in g.edges)
+        assert all(dict(e.support)[3] == 2 for e in g.edges)
         assert all(e.weight == 1.0 for e in g.edges)
 
     def test_rejects_non_uniform(self, fig1):
@@ -183,6 +183,28 @@ def small_hypergraphs(draw):
         size = draw(st.integers(2, min(n, 6)))
         edges.append(draw(st.permutations(range(n)).map(lambda p: list(p)[:size])))
     return hr.Hypergraph.from_edge_list(edges, nodes=range(n))
+
+
+class TestOrderCap:
+    """Orders above the tensor's cap of 20 are refused before any row is
+    built, with the tensor's message."""
+
+    def test_rewrites_refuse_order_above_cap(self, fig1, path3):
+        counter = hr.BuildCounter()
+        calls = [
+            lambda: hr.uplift(fig1, 25, counter),
+            lambda: hr.multi_uplift(path3, 30, (28,), counter),
+            lambda: hr.alternative_uniformization(fig1, 21),
+            lambda: hr.project(fig1, 21, counter),
+        ]
+        for call in calls:
+            with pytest.raises(hr.DataError, match="tensor order .* exceeds supported 20"):
+                call()
+        assert counter == hr.BuildCounter()
+
+    def test_cap_itself_is_allowed(self, fig1):
+        g = hr.uplift(fig1, 20)
+        assert hr.from_hypergraph(g).order == 20
 
 
 class TestInvariants:

@@ -35,8 +35,7 @@ from .rankcmp import (
     _fmt,
     curve_filter,
     default_ks,
-    pairwise_heatmap,
-    topk_curve,
+    heatmap_and_curves,
     write_curves_csv,
     write_heatmap_csv,
 )
@@ -344,17 +343,9 @@ def cmd_compare(args) -> int:
                 raise ConvergenceError(f"method {name} did not converge")
 
     table = RankingTable.from_scores([(name, scores[name]) for _, _, name in runs])
-    heat = pairwise_heatmap(table)
-
     if ks is None:
         ks = default_ks(len(table.labels))
-    curves = {}
-    for tag_a in table.tags:
-        for tag_b in table.tags:
-            if tag_a != tag_b:
-                curves[(tag_a, tag_b)] = topk_curve(
-                    table.column(tag_a), table.column(tag_b), ks
-                )
+    heat, curves = heatmap_and_curves(table, ks)
     filtered = curve_filter(curves)
 
     out_dir = Path(args.out_dir)
@@ -401,8 +392,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="analyze the largest connected component when disconnected")
     sub.add_argument("--tol", type=float, default=1e-10)
     sub.add_argument("--max-iter", dest="max_iter", type=int, default=100_000)
-    sub.add_argument("--shift", type=float, default=1.0,
-                     help="diagonal shift of the power iteration")
+    sub.add_argument("--shift", type=float, default=None,
+                     help="fixed diagonal shift of the power iteration, as a fraction "
+                          "f >= 0 of the current upper eigenvalue bound (default: "
+                          "adaptive, unshifted until the eigenvalue bracket stalls)")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for a random positive start vector (default: uniform start)")
     sub.add_argument("--aux-gauge", dest="aux_gauge", action="store_true",

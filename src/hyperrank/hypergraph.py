@@ -143,7 +143,9 @@ class Hypergraph:
             rows, weight = _frozen(rows, np.int64), _frozen(weight, float)
             if not len(rows):
                 continue
-            if s < 2 or rows.shape != (len(weight), s):
+            if s < 2:
+                raise DataError(f"a hyperedge needs at least 2 nodes, got a size-{s} edge")
+            if rows.shape != (len(weight), s):
                 raise DataError(f"size-{s} block has shape {rows.shape}")
             if rows.min() < 0 or rows.max() >= n:
                 raise DataError(f"size-{s} block references a node outside 0..{n - 1}")

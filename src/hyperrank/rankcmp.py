@@ -206,6 +206,35 @@ def topk_curve(a: Sequence[float], b: Sequence[float], ks: Sequence[int]) -> Cur
     return [(row[0], _tau_b(*row)) for row in rows]
 
 
+def heatmap_and_curves(
+    table: RankingTable, ks: Sequence[int],
+) -> tuple[np.ndarray, dict[tuple[str, str], Curve]]:
+    """The `pairwise_heatmap` of the table and the `topk_curve` of every
+    ordered pair of distinct tags, from one sweep per ordered pair.
+
+    A heatmap cell is the K = n point of its pair's curve, which is the
+    whole-ranking tau bit for bit; only when the Ks stop short of n's tie
+    group does a cell take its own `kendall_tau` sweep.
+    """
+    k, n = len(table.tags), len(table.labels)
+    if k < 2:
+        raise DataError("heatmap needs at least 2 columns")
+    heat = np.eye(k)
+    curves: dict[tuple[str, str], Curve] = {}
+    for i, tag_a in enumerate(table.tags):
+        for j, tag_b in enumerate(table.tags):
+            if i == j:
+                continue
+            a, b = table.columns[i], table.columns[j]
+            curve = topk_curve(a, b, ks)
+            if tag_a != tag_b:
+                curves[(tag_a, tag_b)] = curve
+            if i < j:
+                heat[i, j] = heat[j, i] = (curve[-1][1] if curve and curve[-1][0] == n
+                                           else kendall_tau(a, b))
+    return heat, curves
+
+
 def default_ks(n: int, points: int = 24, start: int = 10) -> list[int]:
     """Roughly geometric K grid from `start` up to n (n always included)."""
     if n < 2:

@@ -51,15 +51,18 @@ _DISCONNECTED_MSG = (
 class SolverOptions:
     """Power-method settings.
 
-    A positive diagonal shift keeps the iteration from oscillating on
-    non-primitive tensors. The start vector must be strictly positive; when
+    `shift` is None for the adaptive shift (see `h_eigen_power`), or a
+    fraction f >= 0 for a fixed relative shift rho = f * lam_hi at every
+    step, lam_hi being the current upper bound on the eigenvalue. Either way
+    the shift scales with the tensor, so the iteration count does not depend
+    on the weight scale. The start vector must be strictly positive; when
     absent it defaults to uniform, or to a seeded random draw when `seed` is
     set (useful for restart-agreement checks).
     """
 
     tol: float = 1e-10
     max_iter: int = 100_000
-    shift: float = 1.0
+    shift: Optional[float] = None
     start: Optional[np.ndarray] = None
     seed: Optional[int] = None
 
@@ -120,6 +123,14 @@ def _require_weakly_irreducible(t: UniformTensor):
 #  Power method
 # ──────────────────────────────────────────────────────────────────────
 
+# The adaptive shift: once the iteration needs one, rho is this fraction of
+# the current upper eigenvalue bound, and stays.
+_SHIFT_FRACTION = 0.5
+# The bracket has stalled when its width after two more steps is still above
+# (1 - _STALL_DELTA) times the earlier width.
+_STALL_DELTA = 0.01
+
+
 def h_eigen_power(
     t: UniformTensor,
     options: Optional[SolverOptions] = None,
@@ -129,11 +140,20 @@ def h_eigen_power(
 ) -> CentralityResult:
     """Perron H-eigenpair of a nonnegative weakly irreducible tensor.
 
-    Shifted power iteration: y = T x^(m-1) + shift * x^[m-1], then
-    x <- y^[1/(m-1)] renormalized to unit l1 norm. The eigenvalue estimate is
-    bracketed by min/max of y_i / x_i^(m-1) - shift and iteration stops when
-    the bracket's relative width falls below `tol`. Exceeding `max_iter`
-    returns the best iterate flagged as non-converged.
+    Shifted power iteration (Ng, Qi & Zhou 2009; Liu, Zhou & Ibrahim 2010):
+    y = T x^(m-1) + rho * x^[m-1], then x <- y^[1/(m-1)] renormalized to
+    unit l1 norm. For every positive x the Collatz-Wielandt bracket, min/max
+    of (T x^(m-1))_i / x_i^(m-1), bounds the eigenvalue whatever rho is, so
+    rho may change between steps; iteration stops when the bracket's
+    relative width falls below `tol`.
+
+    By default rho starts at 0, which is fastest on primitive tensors. It
+    becomes `_SHIFT_FRACTION` times the current upper bound, once, when the
+    bracket stalls (the period-2 oscillation of a bipartite input) or when
+    T x^(m-1) has a zero component. A fixed `options.shift` f sets
+    rho = f * upper bound at every step instead. Exceeding `max_iter` returns
+    the best iterate flagged as non-converged; a non-finite bracket (the
+    iterate underflowed) raises `ConvergenceError`.
     """
     opts = options or SolverOptions()
     _require_weakly_irreducible(t)
@@ -149,25 +169,42 @@ def h_eigen_power(
         if x.shape != (n,) or not (x > 0).all():
             raise DataError("start vector must be strictly positive of length n")
         x = x / x.sum()
-    rho = float(opts.shift)
-    if rho < 0:
+    fixed = opts.shift
+    if fixed is not None and not fixed >= 0:
         raise DataError("shift must be nonnegative")
     e = m - 1
+    rho = 0.0
     converged = False
     iterations = 0
     lam_lo = lam_hi = 0.0
+    width_1 = width_2 = math.inf  # bracket widths one and two steps back
     for iterations in range(1, opts.max_iter + 1):
         xe = x**e
-        y = apply(t, x) + rho * xe
-        if rho == 0.0 and not (y > 0).all():
-            raise ConvergenceError(
-                "iteration produced a zero component; use a positive shift"
-            )
-        ratios = y / xe - rho
+        tx = apply(t, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = tx / xe
         lam_lo, lam_hi = float(ratios.min()), float(ratios.max())
-        if lam_hi - lam_lo <= opts.tol * lam_hi:
+        if not (math.isfinite(lam_lo) and math.isfinite(lam_hi)):
+            raise ConvergenceError(
+                f"eigenvalue bracket became non-finite at iteration {iterations}: "
+                "the iterate underflowed (weights or order too extreme)"
+            )
+        width = lam_hi - lam_lo
+        if width <= opts.tol * lam_hi:
             converged = True
             break
+        if fixed is not None:
+            rho = fixed * lam_hi
+        elif rho == 0.0 and (lam_lo == 0.0
+                             or width > (1.0 - _STALL_DELTA) * width_2):
+            rho = _SHIFT_FRACTION * lam_hi
+        width_1, width_2 = width, width_1
+        y = tx + rho * xe
+        if not (y > 0).all():
+            raise ConvergenceError(
+                "iteration produced a zero component; use a positive shift "
+                "or the adaptive default"
+            )
         x = y ** (1.0 / e)
         x /= x.sum()
     eigenvalue = 0.5 * (lam_lo + lam_hi)

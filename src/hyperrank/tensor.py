@@ -149,10 +149,18 @@ class UniformTensor:
         self.dim = dim
         self.blocks = tuple(b for b in blocks if len(b.rows))
         for b in self.blocks:
+            if not (isinstance(b.rows, np.ndarray) and b.rows.dtype.kind in "iu"
+                    and isinstance(b.weight, np.ndarray)):
+                raise DataError("block rows must be an integer numpy array and "
+                                "its weights a numpy array")
             if sum(b.mult) != order or b.rows.shape != (len(b.weight), len(b.mult)):
                 raise DataError(f"block pattern {b.mult} does not make order {order}")
             if b.rows.min() < 0 or b.rows.max() >= dim:
                 raise DataError(f"block out of range for dim {dim}")
+            if not (b.rows[:, 1:] > b.rows[:, :-1]).all():
+                raise DataError("block rows must list distinct nodes in ascending "
+                                "order; a repeated node takes one column and its "
+                                "multiplicity in the pattern")
             if not (b.weight > 0).all():
                 raise DataError("entry values must be positive")
 

@@ -246,6 +246,35 @@ class TestCentrality:
                      "--input", "ignored", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_shift_is_adaptive_by_default_and_relative_on_replay(self, tmp_path):
+        # K_{2,3}: bipartite, so the unshifted iteration oscillates
+        prefix = write_dataset(tmp_path, [2] * 6, [1, 3, 1, 4, 1, 5, 2, 3, 2, 4, 2, 5])
+        out1 = tmp_path / "adaptive.csv"
+        assert main(["centrality", "--method", "ec", "--input", prefix,
+                     "--out", str(out1)]) == 0
+        manifest = json.loads((tmp_path / "adaptive.csv.manifest.json").read_text())
+        assert manifest["shift"] is None
+        assert manifest["result"]["converged"] is True
+        # a stored absolute shift of 1.0 replays as the relative shift 1.0
+        manifest["shift"] = 1.0
+        stored = tmp_path / "stored.json"
+        stored.write_text(json.dumps(manifest))
+        out2 = tmp_path / "replay.csv"
+        assert main(["centrality", "--method", "ec", "--from-manifest", str(stored),
+                     "--input", "ignored", "--out", str(out2)]) == 0
+        replay = json.loads((tmp_path / "replay.csv.manifest.json").read_text())
+        assert replay["shift"] == 1.0 and replay["result"]["converged"] is True
+        a, b = read_scores(out1), read_scores(out2)
+        assert a.keys() == b.keys()
+        assert all(a[k] == pytest.approx(b[k], abs=1e-10) for k in a)
+        assert a["1"] == pytest.approx(math.sqrt(3) / (2 * math.sqrt(3) + 3 * math.sqrt(2)))
+
+    def test_negative_shift_is_data_error(self, tmp_path, capsys):
+        prefix = write_dataset(tmp_path, [2, 2], [1, 2, 2, 3])
+        assert main(["centrality", "--method", "ec", "--shift", "-1", "--input", prefix,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "shift must be nonnegative" in capsys.readouterr().err
+
     def test_hec_requires_lcc_on_disconnected_slice(self, tmp_path):
         # order-2 slice {4,5},{6,7} is disconnected; triple keeps it one graph
         prefix = write_dataset(

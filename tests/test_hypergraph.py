@@ -151,8 +151,10 @@ class TestConstruction:
         assert h.edges[0].support == ((0, 1), (1, 2))
 
     def test_rejects_singleton_edge(self):
-        with pytest.raises(hr.DataError):
+        with pytest.raises(hr.DataError, match="at least 2 nodes"):
             hr.Hypergraph(4, blocks={1: ([[3]], [1.0])})
+        with pytest.raises(hr.DataError, match="at least 2 nodes"):
+            hr.Hypergraph.from_edge_list([[1], [1, 2]])
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(hr.DataError):

@@ -215,6 +215,30 @@ class TestOneSweepExactness:
         assert heat.tobytes() == heat.T.copy().tobytes()
         assert _same(hr.kendall_tau(b, a), hr.kendall_tau(a, b))
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_heatmap_and_curves_reuse_the_curve_sweeps(self, data):
+        n = data.draw(st.integers(2, 50))
+        cols = [data.draw(_tie_heavy_column(n)) for _ in range(3)]
+        tags = data.draw(st.sampled_from([("A", "B", "C"), ("A", "B", "A")]))
+        if tags[2] == "A":
+            cols[2] = cols[0]  # a repeated tag repeats its column
+        table = hr.RankingTable.from_scores(
+            [(tag, dict(enumerate(col))) for tag, col in zip(tags, cols)])
+        # Ks that reach n, and Ks that may stop short of n's tie group
+        ks = data.draw(st.sampled_from([
+            hr.default_ks(n),
+            sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))]))
+        heat, curves = hr.heatmap_and_curves(table, ks)
+        assert heat.tobytes() == hr.pairwise_heatmap(table).tobytes()
+        want = {(a, b): hr.topk_curve(table.column(a), table.column(b), ks)
+                for a in table.tags for b in table.tags if a != b}
+        assert list(curves) == list(want)
+        for key, curve in want.items():
+            assert len(curves[key]) == len(curve)
+            assert all(k1 == k2 and _same(t1, t2)
+                       for (k1, t1), (k2, t2) in zip(curves[key], curve))
+
     def test_large_tied_columns_stay_exact(self):
         # about 1,000 tie groups; n0 * n0 no longer fits in int64 here
         n = 100_000

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperrank as hr
 from conftest import TABLE_ROWS
@@ -115,6 +117,145 @@ class TestHEigenPower:
         t = hr.from_hypergraph(path3)
         with pytest.raises(hr.DataError):
             hr.h_eigen_power(t, hr.SolverOptions(start=np.array([1.0, 0.0, 1.0])))
+
+
+def k57(weight):
+    """Complete bipartite K_{5,7} with every edge weight equal: connected, but
+    of period 2, so not primitive."""
+    edges = [[i, 5 + j] for i in range(5) for j in range(7)]
+    return hr.from_hypergraph(hr.Hypergraph.from_edge_list(edges, [weight] * 35))
+
+
+def underflow_chain():
+    """Order-20 chain: 60 edges of 20 nodes, consecutive edges sharing one
+    node, edge k weighted 1e-3**k."""
+    edges = [list(range(19 * k, 19 * k + 20)) for k in range(60)]
+    return hr.from_hypergraph(
+        hr.Hypergraph.from_edge_list(edges, [1e-3**k for k in range(60)]))
+
+
+class TestShift:
+    def test_k57_iterations_do_not_depend_on_weight_scale(self):
+        # Perron vector of K_{a,b}: sqrt(b) on the a side, sqrt(a) on the b side
+        want = np.r_[np.full(5, math.sqrt(7)), np.full(7, math.sqrt(5))]
+        want /= want.sum()
+        base = hr.eigenvector_centrality(k57(1.0))
+        for weight in (1e-6, 1.0, 1e6):
+            res = hr.eigenvector_centrality(k57(weight))
+            assert res.converged
+            assert abs(res.iterations - base.iterations) <= 0.1 * base.iterations
+            assert res.iterations <= 60
+            assert np.allclose(res.scores.values, want, atol=1e-10)
+            assert res.eigenvalue == pytest.approx(weight * math.sqrt(35), rel=1e-9)
+
+    def test_fixed_relative_shift(self):
+        for weight in (1e-6, 1e6):
+            res = hr.eigenvector_centrality(k57(weight), hr.SolverOptions(shift=1.0))
+            assert res.converged
+            assert res.eigenvalue == pytest.approx(weight * math.sqrt(35), rel=1e-9)
+
+    def test_zero_fixed_shift_oscillates_on_bipartite_input(self):
+        res = hr.eigenvector_centrality(k57(1.0), hr.SolverOptions(shift=0.0, max_iter=200))
+        assert not res.converged and res.iterations == 200
+
+    @pytest.mark.parametrize("shift", [-0.5, float("nan")])
+    def test_rejects_bad_shift(self, path3, shift):
+        with pytest.raises(hr.DataError, match="shift"):
+            hr.h_eigen_power(hr.from_hypergraph(path3), hr.SolverOptions(shift=shift))
+
+    def test_underflow_fails_fast(self):
+        t = underflow_chain()
+        assert (t.order, t.dim) == (20, 1141)
+        with pytest.raises(hr.ConvergenceError, match="underflow"):
+            hr.h_eigen_power(t)
+
+
+@st.composite
+def uniform_inputs(draw, bipartite=None):
+    """(n, rows, weights, bipartite) of a small connected uniform hypergraph:
+    a weighted bipartite graph (period 2), or a weighted hypergraph of mixed
+    sizes uplifted to one order, with or without a gauge order on top."""
+    if bipartite is None:
+        bipartite = draw(st.booleans())
+    if bipartite:
+        left, right = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+        sides = [[0], [left]]
+        edges = {(0, left)}
+        rest = draw(st.permutations([(0, v) for v in range(1, left)]
+                                    + [(1, v) for v in range(left + 1, left + right)]))
+        for side, v in rest:  # a spanning tree across the two sides
+            u = draw(st.sampled_from(sides[1 - side]))
+            edges.add((min(u, v), max(u, v)))
+            sides[side].append(v)
+        extra = draw(st.lists(st.tuples(st.integers(0, left - 1),
+                                        st.integers(left, left + right - 1)), max_size=4))
+        edges.update(extra)
+        rows = np.array(sorted(edges), dtype=np.int64)
+        weights = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=len(rows),
+                                         max_size=len(rows))))
+        return left + right, rows, weights, True
+    n = draw(st.integers(3, 6))
+    edges, weights = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.integers(2, min(n, 4)))
+        edges.append(draw(st.permutations(range(n)))[:size])
+        weights.append(draw(st.floats(0.25, 4.0)))
+    h = hr.largest_connected_component(
+        hr.Hypergraph.from_edge_list(edges, weights, nodes=range(n)))
+    g = hr.uplift(h, h.max_size + draw(st.integers(0, 1)))
+    ((_, (rows, weights)),) = g.blocks.items()
+    return g.n, np.array(rows), np.array(weights), False
+
+
+def solve(n, rows, weights, **options):
+    t = hr.from_hypergraph(hr.Hypergraph(n, blocks={rows.shape[1]: (rows, weights)}))
+    return hr.h_eigen_power(t, hr.SolverOptions(tol=1e-12, **options))
+
+
+class TestSolverProperties:
+    """Results that must not depend on what does not matter, on inputs with
+    and without bipartite structure."""
+
+    @given(uniform_inputs(), st.integers(-6, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_weight_scale(self, inp, k):
+        n, rows, weights, _ = inp
+        a = solve(n, rows, weights)
+        b = solve(n, rows, weights * 10.0**k)
+        assert a.converged and b.converged
+        assert np.allclose(a.scores.values, b.scores.values, atol=1e-9)
+        assert abs(a.iterations - b.iterations) <= 0.1 * a.iterations
+
+    @given(uniform_inputs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_relabelling_permutes_scores(self, inp, data):
+        n, rows, weights, _ = inp
+        perm = np.array(data.draw(st.permutations(range(n))))
+        a = solve(n, rows, weights)
+        b = solve(n, np.sort(perm[rows], axis=1), weights)
+        assert np.allclose(b.scores.values[perm], a.scores.values, atol=1e-9)
+
+    @given(uniform_inputs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_split_edge_into_duplicates(self, inp, data):
+        n, rows, weights, _ = inp
+        e = data.draw(st.integers(0, len(rows) - 1))
+        share = data.draw(st.floats(0.1, 0.9))
+        split_rows = np.vstack([rows, rows[e:e + 1]])
+        split_weights = np.r_[weights, weights[e] * (1 - share)]
+        split_weights[e] *= share
+        a = solve(n, rows, weights)
+        b = solve(n, split_rows, split_weights)
+        assert np.allclose(a.scores.values, b.scores.values, atol=1e-9)
+
+    @given(uniform_inputs(bipartite=True), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_start_vector_on_bipartite_input(self, inp, seed):
+        n, rows, weights, _ = inp
+        a = solve(n, rows, weights)
+        b = solve(n, rows, weights, seed=seed)
+        assert b.converged
+        assert np.allclose(a.scores.values, b.scores.values, atol=1e-9)
 
 
 class TestPipelines:

@@ -24,7 +24,6 @@ from .errors import ConvergenceError, DataError, HyperrankError, UsageError
 from .hypergraph import (
     Hypergraph,
     PreprocessReport,
-    is_strongly_connected,
     largest_connected_component,
     order_slice,
     preprocess_stream,
@@ -212,24 +211,19 @@ def _params(args) -> dict:
     return {key: getattr(args, key) for key in _PARAMS if hasattr(args, key)}
 
 
-def _ensure_connected(h: Hypergraph, use_lcc: bool) -> Hypergraph:
-    if h.n and is_strongly_connected(h):
-        return h
-    if not use_lcc:
-        raise DataError(
-            "input is not strongly connected; pass --lcc to analyze the "
-            "largest connected component"
-        )
-    return largest_connected_component(h)
+def _options(args) -> SolverOptions:
+    """The solver settings of the parsed arguments, validated."""
+    return SolverOptions(tol=args.tol, max_iter=args.max_iter, shift=args.shift,
+                         seed=args.seed)
 
 
 def _solve(h: Hypergraph, method: str, order: Optional[int], args,
-           lcc: bool) -> tuple[dict, dict]:
+           opts: SolverOptions, lcc: bool) -> tuple[dict, dict]:
     """Run one method at `order`; returns (label->score, result meta).
 
-    A sliced method solves on the size-`order` edges alone. What it solves
-    on must be strongly connected, unless `lcc` lets the largest component
-    stand in for it.
+    A sliced method solves on the size-`order` edges alone. With `lcc` the
+    largest component of what it solves on stands in for it; a disconnected
+    input that remains is refused by the solver with a `DataError`.
     """
     pipeline, _, _, sliced = _METHODS[method]
     solve = globals()[pipeline]
@@ -237,15 +231,14 @@ def _solve(h: Hypergraph, method: str, order: Optional[int], args,
         h = order_slice(h, order)
         if not h.blocks:
             raise DataError(f"no hyperedges of size {order} in the input")
-    h = _ensure_connected(h, lcc)
+    if lcc:
+        h = largest_connected_component(h)
     if method == "zec-uplift":
         pair = solve(h, args.norm)
         scores = dict(zip(pair.labels, (float(v) for v in pair.eigenvector.values)))
         return scores, {"eigenvalue": pair.eigenvalue, "omega": pair.omega,
                         "base_eigenvalue": pair.base_eigenvalue, "norm": pair.norm,
                         "converged": True, "iterations": 0, "residual": 0.0}
-    opts = SolverOptions(tol=args.tol, max_iter=args.max_iter, shift=args.shift,
-                         seed=args.seed)
     if method == "ec":
         res = solve(from_hypergraph(h), opts, labels=h.labels)
     elif sliced:
@@ -288,8 +281,9 @@ def cmd_centrality(args) -> int:
             if key in stored:
                 setattr(args, key, stored[key])
     order = _method_order(args)
+    opts = _options(args)
     h, report = _ingest(args.input, keep_multiplicities=args.method == "zec-uplift")
-    scores, meta = _solve(h, args.method, order, args, args.lcc)
+    scores, meta = _solve(h, args.method, order, args, opts, args.lcc)
     out = Path(args.out)
     _write_scores_csv(out, scores.items())
     manifest = {"command": "centrality", **_params(args), "normalization": "l1",
@@ -330,6 +324,7 @@ def cmd_compare(args) -> int:
     runs = [_parse_compare_tag(t) for t in args.methods.split(",") if t.strip()]
     if len(runs) < 2:
         raise UsageError("compare needs at least 2 method tags")
+    opts = _options(args)
     h, report = _ingest(args.input)
 
     scores: dict[str, dict] = {}
@@ -337,7 +332,7 @@ def cmd_compare(args) -> int:
         if name not in scores:
             print(f"running {name} ...")
             # an h<m> slice is always reduced to its largest component
-            scores[name], meta = _solve(h, method, order, args,
+            scores[name], meta = _solve(h, method, order, args, opts,
                                         lcc=args.lcc or method == "hec")
             if not meta["converged"]:
                 raise ConvergenceError(f"method {name} did not converge")

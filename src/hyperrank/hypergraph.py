@@ -193,6 +193,11 @@ class Hypergraph:
         return Hypergraph(self.n, labels=labels, aux=self.aux, blocks=self.blocks)
 
     @cached_property
+    def _component_roots(self) -> np.ndarray:
+        """`component_roots` over every block: computed once per hypergraph."""
+        return component_roots(self.n, (rows for rows, _ in self.blocks.values()))
+
+    @cached_property
     def _label_rank(self) -> np.ndarray:
         """Rank of each node's label under `_label_sort_key`."""
         order = sorted(range(self.n), key=lambda i: _label_sort_key(self.labels[i]))
@@ -295,7 +300,7 @@ def connected_components(h: Hypergraph) -> list[list[int]]:
     """
     if h.n == 0:
         return []
-    roots = component_roots(h.n, (rows for rows, _ in h.blocks.values()))
+    roots = h._component_roots
     order = np.argsort(roots, kind="stable")
     starts = np.flatnonzero(np.r_[True, roots[order][1:] != roots[order][:-1]])
     groups = np.split(order, starts[1:])
@@ -305,19 +310,15 @@ def connected_components(h: Hypergraph) -> list[list[int]]:
 
 
 def is_strongly_connected(h: Hypergraph) -> bool:
-    if h.n == 0:
-        return False
-    roots = component_roots(h.n, (rows for rows, _ in h.blocks.values()))
-    return bool((roots == 0).all())
+    return h.n > 0 and not h._component_roots.any()
 
 
 def largest_connected_component(h: Hypergraph) -> Hypergraph:
-    """Sub-hypergraph induced by the largest component (labels preserved)."""
-    if h.n == 0:
+    """Sub-hypergraph induced by the largest component (labels preserved);
+    `h` itself when it is connected or empty."""
+    if h.n == 0 or is_strongly_connected(h):
         return h
     comp = np.asarray(connected_components(h)[0])
-    if len(comp) == h.n:
-        return h
     inside = np.zeros(h.n, dtype=bool)
     inside[comp] = True
     kept = {}

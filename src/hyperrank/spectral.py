@@ -55,16 +55,24 @@ class SolverOptions:
     fraction f >= 0 for a fixed relative shift rho = f * lam_hi at every
     step, lam_hi being the current upper bound on the eigenvalue. Either way
     the shift scales with the tensor, so the iteration count does not depend
-    on the weight scale. The start vector must be strictly positive; when
-    absent it defaults to uniform, or to a seeded random draw when `seed` is
-    set (useful for restart-agreement checks).
+    on the weight scale. The start vector is uniform, or a seeded positive
+    random draw when `seed` is set (useful for restart-agreement checks).
+    Construction refuses `max_iter` < 1 and a negative or NaN `tol` or
+    `shift` with a `DataError`.
     """
 
     tol: float = 1e-10
     max_iter: int = 100_000
     shift: Optional[float] = None
-    start: Optional[np.ndarray] = None
     seed: Optional[int] = None
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise DataError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not self.tol >= 0:
+            raise DataError(f"tol must be nonnegative, got {self.tol}")
+        if self.shift is not None and not self.shift >= 0:
+            raise DataError("shift must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,34 +159,24 @@ def h_eigen_power(
     becomes `_SHIFT_FRACTION` times the current upper bound, once, when the
     bracket stalls (the period-2 oscillation of a bipartite input) or when
     T x^(m-1) has a zero component. A fixed `options.shift` f sets
-    rho = f * upper bound at every step instead. Exceeding `max_iter` returns
-    the best iterate flagged as non-converged; a non-finite bracket (the
-    iterate underflowed) raises `ConvergenceError`.
+    rho = f * upper bound at every step instead. Reaching `max_iter` returns
+    the last iterate, whose bracket gives the eigenvalue and residual,
+    flagged as non-converged; a non-finite bracket (the iterate underflowed)
+    raises `ConvergenceError`.
     """
     opts = options or SolverOptions()
     _require_weakly_irreducible(t)
     m, n = t.order, t.dim
-    if opts.start is None:
-        if opts.seed is not None:
-            x = np.random.default_rng(opts.seed).uniform(0.5, 1.5, size=n)
-            x /= x.sum()
-        else:
-            x = np.full(n, 1.0 / n)
+    if opts.seed is not None:
+        x = np.random.default_rng(opts.seed).uniform(0.5, 1.5, size=n)
+        x /= x.sum()
     else:
-        x = np.asarray(opts.start, dtype=float)
-        if x.shape != (n,) or not (x > 0).all():
-            raise DataError("start vector must be strictly positive of length n")
-        x = x / x.sum()
+        x = np.full(n, 1.0 / n)
     fixed = opts.shift
-    if fixed is not None and not fixed >= 0:
-        raise DataError("shift must be nonnegative")
     e = m - 1
     rho = 0.0
-    converged = False
-    iterations = 0
-    lam_lo = lam_hi = 0.0
     width_1 = width_2 = math.inf  # bracket widths one and two steps back
-    for iterations in range(1, opts.max_iter + 1):
+    for iterations in range(1, opts.max_iter + 1):  # max_iter >= 1: at least once
         xe = x**e
         tx = apply(t, x)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -190,8 +188,8 @@ def h_eigen_power(
                 "the iterate underflowed (weights or order too extreme)"
             )
         width = lam_hi - lam_lo
-        if width <= opts.tol * lam_hi:
-            converged = True
+        converged = width <= opts.tol * lam_hi
+        if converged or iterations == opts.max_iter:
             break
         if fixed is not None:
             rho = fixed * lam_hi
@@ -208,9 +206,7 @@ def h_eigen_power(
         x = y ** (1.0 / e)
         x /= x.sum()
     eigenvalue = 0.5 * (lam_lo + lam_hi)
-    residual = float(
-        np.max(np.abs(apply(t, x) - eigenvalue * x**e)) / max(abs(eigenvalue), 1e-300)
-    )
+    residual = float(np.max(np.abs(tx - eigenvalue * xe)) / max(abs(eigenvalue), 1e-300))
 
     if labels is None:
         labels = tuple(range(n))
@@ -366,6 +362,7 @@ def z_via_uplift(h: Hypergraph, norm: str) -> ZEigenpair:
     norm = norm.lower()
     if norm not in ("z1", "z2"):
         raise DataError(f"norm must be 'z1' or 'z2', got {norm!r}")
+    _require_connected(h)
     aux = detect_uplift_structure(h)
     if aux is None:
         raise DataError(

@@ -176,11 +176,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage error" in err and "--topk" in err
 
-    def test_disconnected_without_lcc(self, tmp_path):
+    def test_disconnected_without_lcc(self, tmp_path, capsys):
+        # every method refuses in its solver, with the message naming --lcc
         prefix = write_dataset(tmp_path, [2, 2], [1, 2, 3, 4])
-        code = main(["centrality", "--method", "uphec", "--p", "2",
-                     "--input", prefix, "--out", str(tmp_path / "o.csv")])
+        for method in (["ec"], ["hec", "--order", "2"], ["uhec", "--order", "2"],
+                       ["uphec", "--p", "2"], ["alt", "--order", "2"], ["zec-uplift"]):
+            code = main(["centrality", "--method", *method,
+                         "--input", prefix, "--out", str(tmp_path / "o.csv")])
+            assert code == 2, method
+            assert "--lcc" in capsys.readouterr().err, method
+
+    @pytest.mark.parametrize("command", ["centrality", "compare"])
+    @pytest.mark.parametrize("setting, message", [
+        (["--max-iter", "0"], "max_iter"),
+        (["--max-iter", "-3"], "max_iter"),
+        (["--tol", "-1"], "tol"),
+        (["--tol", "nan"], "tol"),
+        (["--shift", "-0.5"], "shift must be nonnegative"),
+    ])
+    def test_bad_solver_settings_before_ingest(self, tmp_path, capsys, command,
+                                               setting, message):
+        # the input does not exist: a refusal naming the setting shows that
+        # the settings are checked before any dataset file is read
+        argv = (["centrality", "--method", "ec", "--out", str(tmp_path / "o.csv")]
+                if command == "centrality" else
+                ["compare", "--methods", "u2,u3", "--out-dir", str(tmp_path / "out")])
+        code = main(argv + setting + ["--input", str(tmp_path / "nope")])
+        captured = capsys.readouterr()
         assert code == 2
+        assert message in captured.err and captured.out == ""
+
+    def test_bad_setting_in_stored_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"method": "ec", "max_iter": 0}))
+        code = main(["centrality", "--method", "ec", "--from-manifest", str(manifest),
+                     "--input", str(tmp_path / "nope"), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "max_iter" in capsys.readouterr().err
 
     def test_missing_dataset(self, tmp_path):
         code = main(["stats", "--input", str(tmp_path / "nope"),
@@ -376,6 +408,24 @@ class TestCompare:
         assert heat[0] == "method,H2,U2"
         manifest = json.loads((out_dir / "compare_manifest.json").read_text())
         assert manifest["lcc"] is False
+
+    def test_one_component_pass_per_hypergraph(self, tmp_path, monkeypatch):
+        # the input's components are found once for --lcc and all three
+        # pipelines; each tensor check adds one pass
+        import hyperrank.hypergraph as hg
+        import hyperrank.spectral as sp
+        original, calls = hg.component_roots, []
+
+        def counted(n, rows):
+            calls.append(n)
+            return original(n, rows)
+
+        monkeypatch.setattr(hg, "component_roots", counted)
+        monkeypatch.setattr(sp, "component_roots", counted)
+        prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
+        assert main(["compare", "--methods", "u2,u3,a3", "--lcc", "--input", prefix,
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == 4
 
     def test_a2_column_identical_to_u2(self, tmp_path):
         prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperrank as hr
+from hyperrank.spectral import _require_weakly_irreducible
 from oracles import project_weight_scan, random_hypergraph
 
 
@@ -223,13 +224,18 @@ class TestInvariants:
     @given(small_hypergraphs(), st.integers(0, 2))
     @settings(max_examples=60, deadline=None)
     def test_connectivity_preserved(self, h, bump):
+        # each construction a pipeline solves on, with and without the aux
+        # gauge, maps a connected input to a weakly irreducible tensor
         if not hr.is_strongly_connected(h):
             return
         m = h.max_size + bump
-        assert hr.is_strongly_connected(hr.uplift(h, m))
-        for p in range(2, h.max_size + 1):
-            assert hr.is_strongly_connected(hr.uplift_project(h, p))
-        assert hr.is_strongly_connected(hr.alternative_uniformization(h, m))
+        built = [hr.uplift(h, m)]
+        built += [hr.uplift_project(h, p) for p in range(2, h.max_size + 1)]
+        built += [hr.alternative_uniformization(hr.project(h, k), k) for k in range(2, m + 1)]
+        for g in built:
+            for u in (g, hr.uplift(g, g.max_size + 1)):
+                assert hr.is_strongly_connected(u)
+                _require_weakly_irreducible(hr.from_hypergraph(u))
 
     def test_uplift_at_max_on_uniform_is_identity(self):
         h = hr.Hypergraph.from_edge_list([[0, 1, 2], [1, 2, 3]])

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from types import NoneType
 from typing import Optional
 
 import numpy as np
@@ -64,10 +65,12 @@ _METHODS = {
 METHODS = tuple(_METHODS)
 _TAGS = {tag: method for method, (_, _, tag, _) in _METHODS.items() if tag}
 
-# run parameters the manifests record and `--from-manifest` restores;
-# `compare` records those its parser defines
-_PARAMS = ("method", "order", "p", "norm", "input", "lcc", "aux_gauge",
-           "tol", "max_iter", "shift", "seed")
+# run parameter -> the JSON types its value may have: the parameters the
+# manifests record and `--from-manifest` restores (`compare` records those
+# its parser defines); null is allowed where the option's default is None
+_PARAMS = {"method": (str,), "order": (int, NoneType), "p": (int, NoneType),
+           "norm": (str,), "input": (str,), "lcc": (bool,), "aux_gauge": (bool,),
+           "tol": (int, float), "max_iter": (int,), "seed": (int, NoneType)}
 
 
 # ──────────────────────────────────────────────────────────────────────
@@ -211,10 +214,28 @@ def _params(args) -> dict:
     return {key: getattr(args, key) for key in _PARAMS if hasattr(args, key)}
 
 
+def _restore(args, path: Path) -> None:
+    """Set the run parameters stored in the manifest at `path` on `args`;
+    other keys are ignored."""
+    try:
+        stored = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"cannot parse manifest {path}: {exc}") from None
+    if not isinstance(stored, dict):
+        raise DataError(f"manifest {path} does not hold a JSON object")
+    for key, types in _PARAMS.items():
+        if key not in stored:
+            continue
+        value = stored[key]
+        if type(value) not in types:  # exact type: JSON true is a bool, not a count
+            names = " or ".join("null" if t is NoneType else t.__name__ for t in types)
+            raise DataError(f"manifest {path}: {key!r} must be {names}, got {value!r}")
+        setattr(args, key, value)
+
+
 def _options(args) -> SolverOptions:
     """The solver settings of the parsed arguments, validated."""
-    return SolverOptions(tol=args.tol, max_iter=args.max_iter, shift=args.shift,
-                         seed=args.seed)
+    return SolverOptions(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
 
 
 def _solve(h: Hypergraph, method: str, order: Optional[int], args,
@@ -270,16 +291,7 @@ def _method_order(args) -> Optional[int]:
 
 def cmd_centrality(args) -> int:
     if args.from_manifest:
-        path = Path(args.from_manifest)
-        try:
-            stored = json.loads(_read_text(path))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"cannot parse manifest {path}: {exc}") from None
-        if not isinstance(stored, dict):
-            raise DataError(f"manifest {path} does not hold a JSON object")
-        for key in _PARAMS:
-            if key in stored:
-                setattr(args, key, stored[key])
+        _restore(args, Path(args.from_manifest))
     order = _method_order(args)
     opts = _options(args)
     h, report = _ingest(args.input, keep_multiplicities=args.method == "zec-uplift")
@@ -387,10 +399,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="analyze the largest connected component when disconnected")
     sub.add_argument("--tol", type=float, default=1e-10)
     sub.add_argument("--max-iter", dest="max_iter", type=int, default=100_000)
-    sub.add_argument("--shift", type=float, default=None,
-                     help="fixed diagonal shift of the power iteration, as a fraction "
-                          "f >= 0 of the current upper eigenvalue bound (default: "
-                          "adaptive, unshifted until the eigenvalue bracket stalls)")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for a random positive start vector (default: uniform start)")
     sub.add_argument("--aux-gauge", dest="aux_gauge", action="store_true",

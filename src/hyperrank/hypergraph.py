@@ -38,6 +38,22 @@ def _label_sort_key(label):
     return (type(label).__name__, str(label))
 
 
+def _distinct_labels(labels: Sequence) -> set:
+    """The set of `labels`; an unhashable label is a `DataError`."""
+    try:
+        return set(labels)
+    except TypeError:
+        for label in labels:
+            _label_sort_key(label)  # raises for the first unhashable label
+        raise
+
+
+def _check_weights(weight: np.ndarray, what: str = "edge weights") -> None:
+    """Refuse weights that are not positive and finite (NaN included)."""
+    if not (np.isfinite(weight) & (weight > 0)).all():
+        raise DataError(f"{what} must be positive and finite")
+
+
 def sort_labels(labels: Iterable[Hashable]) -> list:
     """Sort labels naturally when comparable, otherwise by (type, repr)."""
     labels = list(labels)
@@ -132,7 +148,7 @@ class Hypergraph:
         labels = tuple(labels) if labels else tuple(range(n))
         if len(labels) != n:
             raise DataError("labels must have length n")
-        if len(set(labels)) != n:
+        if len(_distinct_labels(labels)) != n:
             raise DataError("labels must be distinct")
         aux = aux if aux is not None else AuxSpec()
         if any(a >= n for a in aux.nodes):
@@ -151,8 +167,7 @@ class Hypergraph:
                 raise DataError(f"size-{s} block references a node outside 0..{n - 1}")
             if not (rows[:, 1:] >= rows[:, :-1]).all():
                 raise DataError(f"size-{s} block has a row that is not ascending")
-            if not (weight > 0).all():
-                raise DataError("edge weights must be positive")
+            _check_weights(weight)
             clean[s] = (rows, weight)
         self.__dict__.update(n=n, labels=labels, aux=aux, blocks=MappingProxyType(clean))
 
@@ -198,6 +213,19 @@ class Hypergraph:
         return component_roots(self.n, (rows for rows, _ in self.blocks.values()))
 
     @cached_property
+    def _largest_component(self) -> "Hypergraph":
+        """`largest_connected_component` of a disconnected hypergraph: extracted
+        once, so every consumer of this hypergraph shares the sub-hypergraph."""
+        comp = np.asarray(connected_components(self)[0])
+        inside = np.zeros(self.n, dtype=bool)
+        inside[comp] = True
+        kept = {}
+        for s, (rows, w) in self.blocks.items():
+            mask = inside[rows[:, 0]]
+            kept[s] = (rows[mask], w[mask])
+        return self.restrict(np.sort(comp), kept)
+
+    @cached_property
     def _label_rank(self) -> np.ndarray:
         """Rank of each node's label under `_label_sort_key`."""
         order = sorted(range(self.n), key=lambda i: _label_sort_key(self.labels[i]))
@@ -224,9 +252,8 @@ class Hypergraph:
         if weights.shape != (len(edge_lists),):
             raise DataError(f"weights have shape {weights.shape}, expected "
                             f"({len(edge_lists)},), one per edge")
-        universe = set(nodes)
-        for e in edge_lists:
-            universe.update(e)
+        _check_weights(weights)  # before duplicate edges merge
+        universe = _distinct_labels([*nodes, *(v for e in edge_lists for v in e)])
         labels = tuple(sort_labels(universe))
         index = {lab: i for i, lab in enumerate(labels)}
 
@@ -318,14 +345,7 @@ def largest_connected_component(h: Hypergraph) -> Hypergraph:
     `h` itself when it is connected or empty."""
     if h.n == 0 or is_strongly_connected(h):
         return h
-    comp = np.asarray(connected_components(h)[0])
-    inside = np.zeros(h.n, dtype=bool)
-    inside[comp] = True
-    kept = {}
-    for s, (rows, w) in h.blocks.items():
-        mask = inside[rows[:, 0]]
-        kept[s] = (rows[mask], w[mask])
-    return h.restrict(np.sort(comp), kept)
+    return h._largest_component
 
 
 def order_slice(h: Hypergraph, m: int) -> Hypergraph:
@@ -463,7 +483,7 @@ def build_preprocessed(
     """
     raw = [list(s) for s in simplices]
     tokens = [v for s in raw for v in s]
-    universe = sort_labels(set(tokens))
+    universe = sort_labels(_distinct_labels(tokens))
     rank = {lab: i for i, lab in enumerate(universe)}
     h, report = preprocess_stream(
         np.array([len(s) for s in raw], dtype=np.int64),

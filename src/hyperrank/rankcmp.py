@@ -166,14 +166,7 @@ class RankingTable:
 
 def pairwise_heatmap(table: RankingTable) -> np.ndarray:
     """Symmetric matrix of whole-ranking tau values between all columns."""
-    k = len(table.tags)
-    if k < 2:
-        raise DataError("heatmap needs at least 2 columns")
-    out = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            out[i, j] = out[j, i] = kendall_tau(table.columns[i], table.columns[j])
-    return out
+    return heatmap_and_curves(table, [])[0]
 
 
 def topk_curve(a: Sequence[float], b: Sequence[float], ks: Sequence[int]) -> Curve:

@@ -49,21 +49,16 @@ _DISCONNECTED_MSG = (
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Power-method settings.
-
-    `shift` is None for the adaptive shift (see `h_eigen_power`), or a
-    fraction f >= 0 for a fixed relative shift rho = f * lam_hi at every
-    step, lam_hi being the current upper bound on the eigenvalue. Either way
-    the shift scales with the tensor, so the iteration count does not depend
-    on the weight scale. The start vector is uniform, or a seeded positive
-    random draw when `seed` is set (useful for restart-agreement checks).
-    Construction refuses `max_iter` < 1 and a negative or NaN `tol` or
-    `shift` with a `DataError`.
+    """Power-method settings: the relative bracket width `tol` that stops
+    the iteration, the step limit `max_iter`, and the start vector, uniform
+    or a seeded positive random draw when `seed` is set (useful for
+    restart-agreement checks). The shift is not a setting: `h_eigen_power`
+    picks it. Construction refuses `max_iter` < 1 and a negative or NaN
+    `tol` with a `DataError`.
     """
 
     tol: float = 1e-10
     max_iter: int = 100_000
-    shift: Optional[float] = None
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -71,8 +66,6 @@ class SolverOptions:
             raise DataError(f"max_iter must be at least 1, got {self.max_iter}")
         if not self.tol >= 0:
             raise DataError(f"tol must be nonnegative, got {self.tol}")
-        if self.shift is not None and not self.shift >= 0:
-            raise DataError("shift must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,8 +115,9 @@ def _require_connected(h: Hypergraph):
 
 def _require_weakly_irreducible(t: UniformTensor):
     """Weak irreducibility equals connectivity of the co-occurrence graph."""
-    rows = [b.rows for b in t.blocks]
-    if t.dim == 0 or (component_roots(t.dim, rows) != 0).any():
+    if not t.blocks:
+        raise DataError("tensor has no entries")
+    if (component_roots(t.dim, [b.rows for b in t.blocks]) != 0).any():
         raise DataError(_DISCONNECTED_MSG)
 
 
@@ -137,6 +131,10 @@ _SHIFT_FRACTION = 0.5
 # The bracket has stalled when its width after two more steps is still above
 # (1 - _STALL_DELTA) times the earlier width.
 _STALL_DELTA = 0.01
+# A weakly irreducible tensor with positive entries has a positive eigenvalue
+# and keeps every iterate positive: a bracket that is not finite and
+# positive, or a zero component, can only come from this.
+_UNDERFLOW_MSG = "the iterate underflowed (weights or order too extreme)"
 
 
 def h_eigen_power(
@@ -155,14 +153,15 @@ def h_eigen_power(
     rho may change between steps; iteration stops when the bracket's
     relative width falls below `tol`.
 
-    By default rho starts at 0, which is fastest on primitive tensors. It
-    becomes `_SHIFT_FRACTION` times the current upper bound, once, when the
-    bracket stalls (the period-2 oscillation of a bipartite input) or when
-    T x^(m-1) has a zero component. A fixed `options.shift` f sets
-    rho = f * upper bound at every step instead. Reaching `max_iter` returns
-    the last iterate, whose bracket gives the eigenvalue and residual,
-    flagged as non-converged; a non-finite bracket (the iterate underflowed)
-    raises `ConvergenceError`.
+    rho starts at 0, which is fastest on primitive tensors. It becomes
+    `_SHIFT_FRACTION` times the current upper bound, once, when the bracket
+    stalls (the period-2 oscillation of a bipartite input) or when
+    T x^(m-1) has a zero component. The shift thus scales with the tensor,
+    so the iteration count does not depend on the weight scale. Reaching
+    `max_iter` returns the last iterate, whose bracket gives the eigenvalue
+    and residual, flagged as non-converged. A bracket that is not finite
+    and positive, or a zero component of the next iterate, means the
+    iterate underflowed and raises `ConvergenceError`.
     """
     opts = options or SolverOptions()
     _require_weakly_irreducible(t)
@@ -172,7 +171,6 @@ def h_eigen_power(
         x /= x.sum()
     else:
         x = np.full(n, 1.0 / n)
-    fixed = opts.shift
     e = m - 1
     rho = 0.0
     width_1 = width_2 = math.inf  # bracket widths one and two steps back
@@ -182,26 +180,22 @@ def h_eigen_power(
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = tx / xe
         lam_lo, lam_hi = float(ratios.min()), float(ratios.max())
-        if not (math.isfinite(lam_lo) and math.isfinite(lam_hi)):
+        if not (math.isfinite(lam_lo) and math.isfinite(lam_hi) and lam_hi > 0):
             raise ConvergenceError(
-                f"eigenvalue bracket became non-finite at iteration {iterations}: "
-                "the iterate underflowed (weights or order too extreme)"
+                f"eigenvalue bracket [{lam_lo}, {lam_hi}] at iteration "
+                f"{iterations} is not finite and positive: {_UNDERFLOW_MSG}"
             )
         width = lam_hi - lam_lo
         converged = width <= opts.tol * lam_hi
         if converged or iterations == opts.max_iter:
             break
-        if fixed is not None:
-            rho = fixed * lam_hi
-        elif rho == 0.0 and (lam_lo == 0.0
-                             or width > (1.0 - _STALL_DELTA) * width_2):
+        if rho == 0.0 and (lam_lo == 0.0 or width > (1.0 - _STALL_DELTA) * width_2):
             rho = _SHIFT_FRACTION * lam_hi
         width_1, width_2 = width, width_1
         y = tx + rho * xe
         if not (y > 0).all():
             raise ConvergenceError(
-                "iteration produced a zero component; use a positive shift "
-                "or the adaptive default"
+                f"iteration {iterations} produced a zero component: {_UNDERFLOW_MSG}"
             )
         x = y ** (1.0 / e)
         x /= x.sum()

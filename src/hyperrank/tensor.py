@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Union
 import numpy as np
 
 from .errors import DataError
-from .hypergraph import Hypergraph, Support
+from .hypergraph import Hypergraph, Support, _check_weights
 
 NORMS = ("l1", "l2", "max", "none")
 
@@ -161,8 +161,7 @@ class UniformTensor:
                 raise DataError("block rows must list distinct nodes in ascending "
                                 "order; a repeated node takes one column and its "
                                 "multiplicity in the pattern")
-            if not (b.weight > 0).all():
-                raise DataError("entry values must be positive")
+            _check_weights(b.weight, "entry values")
 
     @cached_property
     def entries(self) -> tuple[tuple[Support, float], ...]:

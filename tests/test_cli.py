@@ -192,7 +192,6 @@ class TestExitCodes:
         (["--max-iter", "-3"], "max_iter"),
         (["--tol", "-1"], "tol"),
         (["--tol", "nan"], "tol"),
-        (["--shift", "-0.5"], "shift must be nonnegative"),
     ])
     def test_bad_solver_settings_before_ingest(self, tmp_path, capsys, command,
                                                setting, message):
@@ -207,12 +206,22 @@ class TestExitCodes:
         assert message in captured.err and captured.out == ""
 
     def test_bad_setting_in_stored_manifest(self, tmp_path, capsys):
-        manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps({"method": "ec", "max_iter": 0}))
-        code = main(["centrality", "--method", "ec", "--from-manifest", str(manifest),
-                     "--input", str(tmp_path / "nope"), "--out", str(tmp_path / "o.csv")])
-        assert code == 2
-        assert "max_iter" in capsys.readouterr().err
+        # a bad value, then values of the wrong JSON type
+        for stored, key in [({"method": "ec", "max_iter": 0}, "max_iter"),
+                            ({"method": "ec", "max_iter": "x"}, "'max_iter' must be int"),
+                            ({"method": "hec", "order": "2"}, "'order' must be int or null"),
+                            ({"method": "ec", "seed": "x"}, "'seed' must be int or null"),
+                            ({"method": "ec", "input": 5}, "'input' must be str"),
+                            ({"method": "ec", "max_iter": True}, "'max_iter' must be int"),
+                            ({"method": "ec", "tol": None}, "'tol' must be int or float"),
+                            ({"method": "ec", "lcc": 1}, "'lcc' must be bool")]:
+            manifest = tmp_path / "m.json"
+            manifest.write_text(json.dumps(stored))
+            code = main(["centrality", "--method", "ec", "--from-manifest", str(manifest),
+                         "--input", str(tmp_path / "nope"),
+                         "--out", str(tmp_path / "o.csv")])
+            assert code == 2, stored
+            assert key in capsys.readouterr().err, stored
 
     def test_missing_dataset(self, tmp_path):
         code = main(["stats", "--input", str(tmp_path / "nope"),
@@ -285,9 +294,10 @@ class TestCentrality:
         assert main(["centrality", "--method", "ec", "--input", prefix,
                      "--out", str(out1)]) == 0
         manifest = json.loads((tmp_path / "adaptive.csv.manifest.json").read_text())
-        assert manifest["shift"] is None
+        assert "shift" not in manifest
         assert manifest["result"]["converged"] is True
-        # a stored absolute shift of 1.0 replays as the relative shift 1.0
+        # a "shift" stored by an older run is ignored: the replay takes the
+        # same adaptive path to the same scores
         manifest["shift"] = 1.0
         stored = tmp_path / "stored.json"
         stored.write_text(json.dumps(manifest))
@@ -295,17 +305,17 @@ class TestCentrality:
         assert main(["centrality", "--method", "ec", "--from-manifest", str(stored),
                      "--input", "ignored", "--out", str(out2)]) == 0
         replay = json.loads((tmp_path / "replay.csv.manifest.json").read_text())
-        assert replay["shift"] == 1.0 and replay["result"]["converged"] is True
-        a, b = read_scores(out1), read_scores(out2)
-        assert a.keys() == b.keys()
-        assert all(a[k] == pytest.approx(b[k], abs=1e-10) for k in a)
+        assert "shift" not in replay and replay["result"] == manifest["result"]
+        assert out1.read_bytes() == out2.read_bytes()
+        a = read_scores(out1)
         assert a["1"] == pytest.approx(math.sqrt(3) / (2 * math.sqrt(3) + 3 * math.sqrt(2)))
 
-    def test_negative_shift_is_data_error(self, tmp_path, capsys):
+    def test_shift_option_is_unknown(self, tmp_path, capsys):
         prefix = write_dataset(tmp_path, [2, 2], [1, 2, 2, 3])
-        assert main(["centrality", "--method", "ec", "--shift", "-1", "--input", prefix,
-                     "--out", str(tmp_path / "o.csv")]) == 2
-        assert "shift must be nonnegative" in capsys.readouterr().err
+        assert main(["centrality", "--method", "ec", "--shift", "0.5", "--input", prefix,
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert "--shift" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_hec_requires_lcc_on_disconnected_slice(self, tmp_path):
         # order-2 slice {4,5},{6,7} is disconnected; triple keeps it one graph
@@ -426,6 +436,14 @@ class TestCompare:
         assert main(["compare", "--methods", "u2,u3,a3", "--lcc", "--input", prefix,
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert len(calls) == 4
+        # disconnected: the largest component is extracted once and its own
+        # pass is shared by the three pipelines
+        calls.clear()
+        prefix = write_dataset(tmp_path, [3, 2, 2, 3], [1, 2, 3, 2, 4, 5, 6, 5, 6, 7],
+                               prefix="split")
+        assert main(["compare", "--methods", "u2,u3,a3", "--lcc", "--input", prefix,
+                     "--out-dir", str(tmp_path / "toy_out")]) == 0
+        assert len(calls) == 5 and calls[:2] == [7, 4]
 
     def test_a2_column_identical_to_u2(self, tmp_path):
         prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)

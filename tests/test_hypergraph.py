@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperrank as hr
+from hyperrank.tensor import Block
 from oracles import random_hypergraph
 
 
@@ -157,8 +159,15 @@ class TestConstruction:
             hr.Hypergraph.from_edge_list([[1], [1, 2]])
 
     def test_rejects_nonpositive_weight(self):
-        with pytest.raises(hr.DataError):
-            hr.Hypergraph(2, blocks={2: ([[0, 1]], [0.0])})
+        for w in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(hr.DataError, match="positive and finite"):
+                hr.Hypergraph(2, blocks={2: ([[0, 1]], [w])})
+            with pytest.raises(hr.DataError, match="positive and finite"):
+                hr.UniformTensor(2, 2, blocks=[Block(np.array([[0, 1]]), np.array([w]),
+                                                     (1, 1))])
+        # checked before duplicates merge: -0.5 would merge into 1 - 0.5 = 0.5
+        with pytest.raises(hr.DataError, match="positive and finite"):
+            hr.Hypergraph.from_edge_list([[1, 2], [2, 3], [1, 3], [1, 2]], [1, 2, 1, -0.5])
 
     def test_rejects_non_ascending_rows(self):
         # [0, 1, 0] would read as node 0 twice in `edges` but as three
@@ -171,6 +180,13 @@ class TestConstruction:
         for weights in ([1.0], 1.0):
             with pytest.raises(hr.DataError, match="one per edge"):
                 hr.Hypergraph.from_edge_list([[1, 2], [2, 3]], weights)
+        # the labels the edges list must be hashable too
+        for build in (lambda edges: hr.Hypergraph.from_edge_list(edges, [1.0, 1.0]),
+                      hr.build_preprocessed):
+            with pytest.raises(hr.DataError, match=r"hashable, got \[2\]"):
+                build([[1, [2]], [2, 3]])
+        with pytest.raises(hr.DataError, match="hashable"):
+            hr.Hypergraph(2, labels=("a", {"b": 1}))
 
     def test_blocks_are_read_only_copies(self):
         rows = np.array([[0, 1], [1, 2]])

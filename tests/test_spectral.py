@@ -41,6 +41,9 @@ class TestEigenvectorCentrality:
         h = hr.Hypergraph.from_edge_list([[1, 2], [3, 4]])
         with pytest.raises(hr.DataError, match="largest connected component"):
             hr.eigenvector_centrality(hr.from_hypergraph(h))
+        # nor is a tensor with no entries weakly irreducible
+        with pytest.raises(hr.DataError, match="no entries"):
+            hr.h_eigen_power(hr.UniformTensor(2, 1))
 
     def test_rejects_higher_order(self, fig1):
         t = hr.from_hypergraph(hr.uplift(fig1, 3))
@@ -147,23 +150,12 @@ class TestShift:
             assert np.allclose(res.scores.values, want, atol=1e-10)
             assert res.eigenvalue == pytest.approx(weight * math.sqrt(35), rel=1e-9)
 
-    def test_fixed_relative_shift(self):
-        for weight in (1e-6, 1e6):
-            res = hr.eigenvector_centrality(k57(weight), hr.SolverOptions(shift=1.0))
-            assert res.converged
-            assert res.eigenvalue == pytest.approx(weight * math.sqrt(35), rel=1e-9)
-
-    def test_zero_fixed_shift_oscillates_on_bipartite_input(self):
-        res = hr.eigenvector_centrality(k57(1.0), hr.SolverOptions(shift=0.0, max_iter=200))
-        assert not res.converged and res.iterations == 200
-
     @pytest.mark.parametrize("field, value", [
-        pytest.param("shift", -0.5, id="-0.5"),
-        pytest.param("shift", float("nan"), id="nan"),
         ("max_iter", 0), ("max_iter", -3), ("tol", -1.0), ("tol", float("nan")),
     ])
     def test_rejects_bad_shift(self, field, value):
-        # refused when the options are built, before any solve
+        # the shift is not a setting; the settings that remain are refused
+        # when the options are built, before any solve
         with pytest.raises(hr.DataError, match=field):
             hr.SolverOptions(**{field: value})
 
@@ -172,6 +164,15 @@ class TestShift:
         assert (t.order, t.dim) == (20, 1141)
         with pytest.raises(hr.ConvergenceError, match="underflow"):
             hr.h_eigen_power(t)
+        # edges of the smallest subnormal weight: T x^(m-1) underflows to 0
+        # everywhere, so the bracket is [0, 0], which positive weights rule
+        # out as an eigenvalue; this is no convergence
+        h = hr.Hypergraph(20, blocks={20: (np.arange(20)[None, :], np.array([5e-324]))})
+        with pytest.raises(hr.ConvergenceError, match="underflow"):
+            hr.hec(h)
+        path = hr.Hypergraph.from_edge_list([[1, 2], [2, 3]], [5e-324] * 2)
+        with pytest.raises(hr.ConvergenceError, match="underflow"):
+            hr.uphec(path, 2)
 
 
 @st.composite

@@ -48,10 +48,10 @@ def _distinct_labels(labels: Sequence) -> set:
         raise
 
 
-def _check_weights(weight: np.ndarray, what: str = "edge weights") -> None:
+def _check_weights(weight: np.ndarray) -> None:
     """Refuse weights that are not positive and finite (NaN included)."""
     if not (np.isfinite(weight) & (weight > 0)).all():
-        raise DataError(f"{what} must be positive and finite")
+        raise DataError("edge weights must be positive and finite")
 
 
 def sort_labels(labels: Iterable[Hashable]) -> list:
@@ -192,10 +192,6 @@ class Hypergraph:
     @property
     def num_edges(self) -> int:
         return sum(len(w) for _, w in self.blocks.values())
-
-    @cached_property
-    def label_to_index(self) -> dict:
-        return {lab: i for i, lab in enumerate(self.labels)}
 
     def is_uniform(self) -> bool:
         return len(self.blocks) == 1
@@ -377,18 +373,6 @@ class HypergraphStats:
     size_histogram: dict[int, int]
     per_order: dict[int, OrderStats]
     lcc_fraction: float
-
-    def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "edges": self.edges,
-            "size_histogram": dict(self.size_histogram),
-            "per_order": {
-                m: {"nodes": s.nodes, "edges": s.edges, "lcc_fraction": s.lcc_fraction}
-                for m, s in self.per_order.items()
-            },
-            "lcc_fraction": self.lcc_fraction,
-        }
 
 
 def _lcc_fraction(h: Hypergraph) -> float:

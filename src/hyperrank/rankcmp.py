@@ -68,8 +68,11 @@ def _prefix_counts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     ties_b, ties_ab and the discordant pairs of the top-`ends[g]` nodes.
     Within a tie group of a the order is b descending, so an earlier node
     with a smaller b always lies in an earlier group: that pair is
-    discordant, never tied in a.
+    discordant, never tied in a. A NaN score, which has no rank, is a
+    `DataError`.
     """
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise DataError("scores to rank must not be NaN")
     n = a.size
     rank_a, rank_b = (np.unique(x, return_inverse=True)[1] for x in (a, b))
     key = np.sort(rank_a * n + rank_b)[::-1]

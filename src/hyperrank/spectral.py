@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
+from types import NoneType
 from typing import Optional
 
 import numpy as np
@@ -53,8 +55,10 @@ class SolverOptions:
     the iteration, the step limit `max_iter`, and the start vector, uniform
     or a seeded positive random draw when `seed` is set (useful for
     restart-agreement checks). The shift is not a setting: `h_eigen_power`
-    picks it. Construction refuses `max_iter` < 1 and a negative or NaN
-    `tol` with a `DataError`.
+    picks it. Construction refuses, with a `DataError` naming the field, a
+    `max_iter` or `seed` that is not an integer, a `tol` that is not a real
+    number (a bool is neither), `max_iter` < 1, a negative, infinite or NaN
+    `tol` and a negative `seed`.
     """
 
     tol: float = 1e-10
@@ -62,10 +66,18 @@ class SolverOptions:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        for name, kind, what in (("tol", Real, "a real number"),
+                                 ("max_iter", Integral, "an integer"),
+                                 ("seed", (Integral, NoneType), "an integer or None")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise DataError(f"{name} must be {what}, got {value!r}")
         if self.max_iter < 1:
             raise DataError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not self.tol >= 0:
-            raise DataError(f"tol must be nonnegative, got {self.tol}")
+        if not 0 <= self.tol < math.inf:
+            raise DataError(f"tol must be nonnegative and finite, got {self.tol}")
+        if self.seed is not None and self.seed < 0:
+            raise DataError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,14 +125,6 @@ def _require_connected(h: Hypergraph):
         raise DataError(_DISCONNECTED_MSG)
 
 
-def _require_weakly_irreducible(t: UniformTensor):
-    """Weak irreducibility equals connectivity of the co-occurrence graph."""
-    if not t.blocks:
-        raise DataError("tensor has no entries")
-    if (component_roots(t.dim, [b.rows for b in t.blocks]) != 0).any():
-        raise DataError(_DISCONNECTED_MSG)
-
-
 # ──────────────────────────────────────────────────────────────────────
 #  Power method
 # ──────────────────────────────────────────────────────────────────────
@@ -162,10 +166,22 @@ def h_eigen_power(
     and residual, flagged as non-converged. A bracket that is not finite
     and positive, or a zero component of the next iterate, means the
     iterate underflowed and raises `ConvergenceError`.
+
+    `labels` names the tensor's indices (default 0..dim-1) and
+    `aux_indices` lists the auxiliary ones, reported in `aux_scores`. A
+    disconnected hypergraph (the tensor is then not weakly irreducible), a
+    label count other than `dim` or an auxiliary index outside 0..dim-1 is
+    refused with a `DataError` before the iteration starts.
     """
     opts = options or SolverOptions()
-    _require_weakly_irreducible(t)
+    _require_connected(t.hypergraph)  # weak irreducibility; cached per hypergraph
     m, n = t.order, t.dim
+    if labels is None:
+        labels = tuple(range(n))
+    if len(labels) != n:
+        raise DataError(f"{len(labels)} labels for a tensor on {n} indices")
+    if any(not 0 <= i < n for i in aux_indices):
+        raise DataError(f"auxiliary indices {tuple(aux_indices)} are not all in 0..{n - 1}")
     if opts.seed is not None:
         x = np.random.default_rng(opts.seed).uniform(0.5, 1.5, size=n)
         x /= x.sum()
@@ -202,8 +218,6 @@ def h_eigen_power(
     eigenvalue = 0.5 * (lam_lo + lam_hi)
     residual = float(np.max(np.abs(tx - eigenvalue * xe)) / max(abs(eigenvalue), 1e-300))
 
-    if labels is None:
-        labels = tuple(range(n))
     aux_set = set(aux_indices)
     real = [i for i in range(n) if i not in aux_set]
     scores = ScoreVector.normalized(x[real], "l1")

@@ -1,17 +1,19 @@
-"""Implicit symmetric nonnegative tensors built from uniform weighted
-hypergraphs: contraction (tensor apply), flattening matrix, and a dense
-materialization oracle for verification.
+"""Implicit symmetric nonnegative tensors: the adjacency tensor of a uniform
+weighted hypergraph, its contraction (tensor apply), flattening matrix, and a
+dense materialization oracle for verification.
 
-A tensor is stored as blocks of entries that share one multiplicity
-pattern. In a block, row e of an int64 array lists the distinct nodes of one
-entry's support, every row shares the per-column multiplicities, and the
-entry's value is the row's weight. The represented array has that value at
-every index tuple whose multiset of indices equals the support, so an
-uplifted edge costs one row with its auxiliary node as one more column.
-Blocks are the only way to build a tensor. The read-only
-`UniformTensor.entries` view lists the (support, value) pairs on demand for
-`flattening_matrix` and `dense_oracle`, which exist for cross-checking on
-small instances; nothing is densified in production paths.
+A `UniformTensor` wraps the uniform `Hypergraph` it is built from, which has
+already checked every row and weight; the tensor is weakly irreducible exactly
+when that hypergraph is connected. For `apply`, the hypergraph's rows are
+split into blocks of entries that share one multiplicity pattern. Row e of a
+block lists the distinct nodes of one entry's support, every row shares the
+per-column multiplicities, and the entry's value is the row's weight. The
+represented array has that value at every index tuple whose multiset of
+indices equals the support, so an uplifted edge costs one row with its
+auxiliary node as one more column. The read-only `UniformTensor.entries` view
+lists the (support, value) pairs on demand for `flattening_matrix` and
+`dense_oracle`, which exist for cross-checking on small instances; nothing is
+densified in production paths.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, NamedTuple, Union
 import numpy as np
 
 from .errors import DataError
-from .hypergraph import Hypergraph, Support, _check_weights
+from .hypergraph import Hypergraph, Support
 
 NORMS = ("l1", "l2", "max", "none")
 
@@ -137,31 +139,24 @@ def _check_max_order(order: int) -> None:
 
 
 class UniformTensor:
-    """Order-m symmetric tensor on `dim` indices, held as `Block`s. Supports
-    may repeat across blocks; the tensor sums their values.
+    """Adjacency tensor of a uniform hypergraph h, kept as `hypergraph`:
+    order h.max_size on `dim = h.n` indices, held as `Block`s. Auxiliary
+    nodes are ordinary indices; duplicate supports merge additively.
     """
 
-    def __init__(self, order: int, dim: int, *, blocks: Iterable[Block] = ()):
-        if order < 2:
-            raise DataError("tensor order must be >= 2")
-        _check_max_order(order)
-        self.order = order
-        self.dim = dim
-        self.blocks = tuple(b for b in blocks if len(b.rows))
-        for b in self.blocks:
-            if not (isinstance(b.rows, np.ndarray) and b.rows.dtype.kind in "iu"
-                    and isinstance(b.weight, np.ndarray)):
-                raise DataError("block rows must be an integer numpy array and "
-                                "its weights a numpy array")
-            if sum(b.mult) != order or b.rows.shape != (len(b.weight), len(b.mult)):
-                raise DataError(f"block pattern {b.mult} does not make order {order}")
-            if b.rows.min() < 0 or b.rows.max() >= dim:
-                raise DataError(f"block out of range for dim {dim}")
-            if not (b.rows[:, 1:] > b.rows[:, :-1]).all():
-                raise DataError("block rows must list distinct nodes in ascending "
-                                "order; a repeated node takes one column and its "
-                                "multiplicity in the pattern")
-            _check_weights(b.weight, "entry values")
+    def __init__(self, h: Hypergraph):
+        if not h.blocks:
+            raise DataError("cannot build a tensor from an edgeless hypergraph")
+        if not h.is_uniform():
+            raise DataError(
+                f"hypergraph is not uniform (sizes {sorted(h.edge_sizes())}); "
+                "uniformize it first"
+            )
+        _check_max_order(h.max_size)
+        self.hypergraph = h
+        self.order = h.max_size
+        self.dim = h.n
+        self.blocks = tuple(split_patterns(*h.blocks[h.max_size]))
 
     @cached_property
     def entries(self) -> tuple[tuple[Support, float], ...]:
@@ -205,20 +200,8 @@ class UniformTensor:
 
 
 def from_hypergraph(h: Hypergraph) -> UniformTensor:
-    """Adjacency tensor of a uniform weighted hypergraph.
-
-    Auxiliary nodes are ordinary indices; duplicate supports (if any) merge
-    additively.
-    """
-    if not h.blocks:
-        raise DataError("cannot build a tensor from an edgeless hypergraph")
-    if not h.is_uniform():
-        raise DataError(
-            f"hypergraph is not uniform (sizes {sorted(h.edge_sizes())}); "
-            "uniformize it first"
-        )
-    rows, weight = h.blocks[h.max_size]
-    return UniformTensor(h.max_size, h.n, blocks=split_patterns(rows, weight))
+    """Adjacency tensor of a uniform weighted hypergraph."""
+    return UniformTensor(h)
 
 
 def apply(t: UniformTensor, x: ArrayLike) -> np.ndarray:

@@ -192,6 +192,8 @@ class TestExitCodes:
         (["--max-iter", "-3"], "max_iter"),
         (["--tol", "-1"], "tol"),
         (["--tol", "nan"], "tol"),
+        (["--tol", "inf"], "tol"),
+        (["--seed", "-1"], "seed"),
     ])
     def test_bad_solver_settings_before_ingest(self, tmp_path, capsys, command,
                                                setting, message):
@@ -421,7 +423,8 @@ class TestCompare:
 
     def test_one_component_pass_per_hypergraph(self, tmp_path, monkeypatch):
         # the input's components are found once for --lcc and all three
-        # pipelines; each tensor check adds one pass
+        # pipelines; each uplifted hypergraph a tensor is built on adds one
+        # pass, and the tensor's own check reuses it
         import hyperrank.hypergraph as hg
         import hyperrank.spectral as sp
         original, calls = hg.component_roots, []
@@ -444,6 +447,17 @@ class TestCompare:
         assert main(["compare", "--methods", "u2,u3,a3", "--lcc", "--input", prefix,
                      "--out-dir", str(tmp_path / "toy_out")]) == 0
         assert len(calls) == 5 and calls[:2] == [7, 4]
+        # a slice solved as it is (hec, ec) has one pass, shared by --lcc
+        # and the tensor's check
+        calls.clear()
+        prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
+        assert main(["compare", "--methods", "h2,h3,h4", "--lcc", "--input", prefix,
+                     "--out-dir", str(tmp_path / "h_out")]) == 0
+        assert len(calls) == 3
+        calls.clear()
+        assert main(["centrality", "--method", "ec", "--lcc", "--input", prefix,
+                     "--out", str(tmp_path / "ec.csv")]) == 0
+        assert len(calls) == 1
 
     def test_a2_column_identical_to_u2(self, tmp_path):
         prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)

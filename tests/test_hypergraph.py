@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperrank as hr
-from hyperrank.tensor import Block
 from oracles import random_hypergraph
 
 
@@ -162,9 +161,6 @@ class TestConstruction:
         for w in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(hr.DataError, match="positive and finite"):
                 hr.Hypergraph(2, blocks={2: ([[0, 1]], [w])})
-            with pytest.raises(hr.DataError, match="positive and finite"):
-                hr.UniformTensor(2, 2, blocks=[Block(np.array([[0, 1]]), np.array([w]),
-                                                     (1, 1))])
         # checked before duplicates merge: -0.5 would merge into 1 - 0.5 = 0.5
         with pytest.raises(hr.DataError, match="positive and finite"):
             hr.Hypergraph.from_edge_list([[1, 2], [2, 3], [1, 3], [1, 2]], [1, 2, 1, -0.5])
@@ -204,7 +200,6 @@ class TestConstruction:
     def test_labels_roundtrip(self):
         h = hr.Hypergraph.from_edge_list([["b", "a"], ["a", "c"]])
         assert h.labels == ("a", "b", "c")
-        assert h.label_to_index["c"] == 2
 
     @given(st.lists(
         st.lists(st.integers(0, 9), min_size=2, max_size=5).map(

@@ -29,6 +29,19 @@ class TestKendallTau:
             hr.kendall_tau([1.0], [2.0])
         with pytest.raises(hr.DataError):
             hr.kendall_tau([1, 2], [1, 2, 3])
+        # a NaN score has no rank: refused in every entry point's sweep
+        nan = float("nan")
+        for a, b in (([1, nan, 3], [1, 2, 3]), ([1, 2, 3], [3, nan, 1])):
+            with pytest.raises(hr.DataError, match="NaN"):
+                hr.kendall_tau(a, b)
+            with pytest.raises(hr.DataError, match="NaN"):
+                hr.topk_curve(a, b, [2, 3])
+        table = hr.RankingTable.from_scores({"A": {1: 1.0, 2: nan, 3: 3.0},
+                                             "B": {1: 1.0, 2: 2.0, 3: 3.0}})
+        with pytest.raises(hr.DataError, match="NaN"):
+            hr.heatmap_and_curves(table, [2, 3])
+        with pytest.raises(hr.DataError, match="NaN"):
+            hr.pairwise_heatmap(table)
 
     @given(st.lists(st.integers(0, 8), min_size=2, max_size=60),
            st.integers(0, 2**32 - 1))

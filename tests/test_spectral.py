@@ -41,9 +41,9 @@ class TestEigenvectorCentrality:
         h = hr.Hypergraph.from_edge_list([[1, 2], [3, 4]])
         with pytest.raises(hr.DataError, match="largest connected component"):
             hr.eigenvector_centrality(hr.from_hypergraph(h))
-        # nor is a tensor with no entries weakly irreducible
-        with pytest.raises(hr.DataError, match="no entries"):
-            hr.h_eigen_power(hr.UniformTensor(2, 1))
+        # nor can a tensor with no entries be built, so none reaches the solver
+        with pytest.raises(hr.DataError, match="edgeless"):
+            hr.h_eigen_power(hr.from_hypergraph(hr.Hypergraph(1)))
 
     def test_rejects_higher_order(self, fig1):
         t = hr.from_hypergraph(hr.uplift(fig1, 3))
@@ -102,13 +102,27 @@ class TestHEigenPower:
         g = hr.uplift_project(example6, 3)
         t1 = hr.from_hypergraph(g)
         gamma = 3.7
-        t2 = hr.UniformTensor(
-            t1.order, t1.dim, blocks=[b._replace(weight=gamma * b.weight) for b in t1.blocks]
-        )
+        t2 = hr.from_hypergraph(hr.Hypergraph(
+            g.n, g.labels, g.aux,
+            blocks={s: (rows, gamma * w) for s, (rows, w) in g.blocks.items()}))
         r1 = hr.h_eigen_power(t1)
         r2 = hr.h_eigen_power(t2)
         assert np.allclose(r1.scores.values, r2.scores.values, atol=1e-9)
         assert r2.eigenvalue == pytest.approx(gamma * r1.eigenvalue, rel=1e-8)
+
+    def test_rejects_labels_that_do_not_fit(self, example6):
+        # refused before the solve, not an IndexError or a silent truncation
+        g = hr.uplift(example6, 4)
+        t = hr.from_hypergraph(g)
+        assert t.dim == 7 and g.aux.nodes == (6,)
+        for labels in (("a",), g.labels[:-1], g.labels + ("x",)):
+            with pytest.raises(hr.DataError, match="labels"):
+                hr.h_eigen_power(t, labels=labels)
+        for aux in ((7,), (6, 9), (-1,)):
+            with pytest.raises(hr.DataError, match="auxiliary"):
+                hr.h_eigen_power(t, labels=g.labels, aux_indices=aux)
+        res = hr.h_eigen_power(t, labels=g.labels, aux_indices=g.aux.nodes)
+        assert set(res.aux_scores) == {"*"} and len(res.labels) == 6
 
     def test_max_iter_flags_nonconverged(self, example6):
         t = hr.from_hypergraph(hr.uplift_project(example6, 2))
@@ -152,12 +166,18 @@ class TestShift:
 
     @pytest.mark.parametrize("field, value", [
         ("max_iter", 0), ("max_iter", -3), ("tol", -1.0), ("tol", float("nan")),
+        ("tol", float("inf")), ("max_iter", 2.5), ("max_iter", True), ("max_iter", None),
+        ("tol", "x"), ("tol", True), ("seed", 1.5), ("seed", False), ("seed", "1"),
+        ("seed", -1),
     ])
     def test_rejects_bad_shift(self, field, value):
         # the shift is not a setting; the settings that remain are refused
-        # when the options are built, before any solve
+        # when the options are built, before any solve, as the CLI refuses
+        # them in a stored manifest: a bool is no count and no tolerance
         with pytest.raises(hr.DataError, match=field):
             hr.SolverOptions(**{field: value})
+        # numpy scalars are numbers like any other
+        hr.SolverOptions(tol=np.float32(1e-6), max_iter=np.int64(5), seed=np.uint8(1))
 
     def test_underflow_fails_fast(self):
         t = underflow_chain()

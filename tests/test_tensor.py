@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import hyperrank as hr
-from hyperrank.tensor import Block
 from oracles import dense_apply, dense_flattening, random_hypergraph
 
 
@@ -37,27 +36,9 @@ class TestFromHypergraph:
             hr.from_hypergraph(fig1)
 
 
-class TestConstructor:
-    def test_rejects_row_with_repeated_node_or_out_of_order(self):
-        # [2, 0, 1] would list the support {0, 1, 2} apart from [0, 1, 2]
-        for rows, mult in (([[0, 0]], (1, 1)), ([[0, 2, 2]], (1, 1, 1)),
-                           ([[2, 0, 1]], (1, 1, 1))):
-            with pytest.raises(hr.DataError, match="distinct nodes in ascending order"):
-                hr.UniformTensor(len(mult), 3, blocks=[
-                    Block(np.array(rows), np.array([1.0]), mult)])
-
-    def test_rejects_blocks_of_lists(self):
-        with pytest.raises(hr.DataError, match="numpy array"):
-            hr.UniformTensor(2, 2, blocks=[Block([[0, 1]], [1.0], (1, 1))])
-        with pytest.raises(hr.DataError, match="numpy array"):
-            hr.UniformTensor(2, 2, blocks=[Block(np.array([[0.0, 1.0]]), np.array([1.0]),
-                                                 (1, 1))])
-
-
 class TestApply:
     def test_single_multiset_entry_counts_arrangements(self):
-        t = hr.UniformTensor(3, 3, blocks=[Block(np.array([[0, 1, 2]]),
-                                                 np.array([1 / 3]), (1, 1, 1))])
+        t = hr.from_hypergraph(hr.Hypergraph(3, blocks={3: ([[0, 1, 2]], [1 / 3])}))
         y = hr.apply(t, np.ones(3))
         assert np.allclose(y, 2 / 3)  # 2 arrangements of the other two indices
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperrank as hr
-from hyperrank.spectral import _require_weakly_irreducible
+from hyperrank.spectral import _require_connected
 from oracles import project_weight_scan, random_hypergraph
 
 
@@ -235,7 +235,7 @@ class TestInvariants:
         for g in built:
             for u in (g, hr.uplift(g, g.max_size + 1)):
                 assert hr.is_strongly_connected(u)
-                _require_weakly_irreducible(hr.from_hypergraph(u))
+                _require_connected(hr.from_hypergraph(u).hypergraph)
 
     def test_uplift_at_max_on_uniform_is_identity(self):
         h = hr.Hypergraph.from_edge_list([[0, 1, 2], [1, 2, 3]])

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 convergence failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -197,10 +198,10 @@ def _ingest(raw: str, keep_multiplicities: bool = False) -> tuple[Hypergraph, di
 
 def _write_scores_csv(path: Path, pairs) -> None:
     ordered = sorted(pairs, key=lambda kv: (-kv[1], str(kv[0])))
-    lines = ["node,score"]
-    lines.extend(f"{lab},{_fmt(score)}" for lab, score in ordered)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(
+            [("node", "score"), *((lab, _fmt(score)) for lab, score in ordered)])
 
 
 def _write_manifest(path: Path, payload: dict) -> None:

@@ -130,9 +130,10 @@ class Hypergraph:
     """Immutable hypergraph on dense indices 0..n-1 with weighted edges.
 
     Built from size-class blocks (`blocks`: {s: (nodes int64[E_s, s] with
-    ascending rows, weight[E_s])}). Rows may repeat within a block; consumers
-    that need distinct edges merge them. `edges` lists the blocks as
-    `HyperEdge` records on first access, sorted by support.
+    ascending rows, weight[E_s])}). Rows merge only where they can collide
+    (ingest, a projection's order-p block); every other rewrite passes rows on
+    as they are. `edges` lists the blocks as `HyperEdge` records on first
+    access, sorted by support.
     """
 
     def __init__(
@@ -252,22 +253,17 @@ class Hypergraph:
         universe = _distinct_labels([*nodes, *(v for e in edge_lists for v in e)])
         labels = tuple(sort_labels(universe))
         index = {lab: i for i, lab in enumerate(labels)}
-
-        groups: dict[int, tuple[list, list]] = {}
-        for e, w in zip(edge_lists, weights):
-            row = sorted(index[v] for v in e)
-            if not keep_multiplicities and len(set(row)) < len(row):
-                warnings.warn(
-                    f"collapsing repeated nodes within edge {e!r} to a set",
-                    stacklevel=2,
-                )
-                row = sorted(set(row))
-            rows, ws = groups.setdefault(len(row), ([], []))
-            rows.append(row)
-            ws.append(w)
-        blocks = {s: merge_rows(np.array(rows, dtype=np.int64).reshape(len(rows), s),
-                                np.array(ws))
-                  for s, (rows, ws) in groups.items()}
+        blocks, size, repeated = _edge_blocks(
+            np.array([len(e) for e in edge_lists], dtype=np.int64),
+            np.array([index[v] for e in edge_lists for v in e], dtype=np.int64),
+            weights, keep_multiplicities)
+        if not keep_multiplicities:
+            for k in repeated.tolist():
+                warnings.warn(f"collapsing repeated nodes within edge "
+                              f"{edge_lists[k]!r} to a set", stacklevel=2)
+        if (size < 2).any():
+            raise DataError(f"a hyperedge needs at least 2 nodes, got a "
+                            f"size-{size.min()} edge")
         return Hypergraph(len(labels), labels, blocks=blocks)
 
     def restrict(self, keep: np.ndarray, blocks: Blocks) -> "Hypergraph":
@@ -294,9 +290,9 @@ def component_roots(n: int, rows: Iterable[np.ndarray]) -> np.ndarray:
     parent = np.arange(n)
     firsts, others = [], []
     for r in rows:
-        if r.shape[1] > 1:
-            firsts.append(np.repeat(r[:, 0], r.shape[1] - 1))
-            others.append(r[:, 1:].ravel())
+        new = r[:, 1:] != r[:, :-1]  # each distinct node joins once
+        firsts.append(np.repeat(r[:, 0], new.sum(axis=1)))
+        others.append(r[:, 1:][new])
     if not firsts:
         return parent
     u, v = np.concatenate(firsts), np.concatenate(others)
@@ -408,6 +404,27 @@ class PreprocessReport:
         return dict(self.__dict__)
 
 
+def _edge_blocks(sizes: np.ndarray, ids: np.ndarray, weight: np.ndarray,
+                 keep_multiplicities: bool) -> tuple[Blocks, np.ndarray, np.ndarray]:
+    """The ingest kernel: edge k holds the next `sizes[k]` ids and weighs
+    `weight[k]`. Edges are sorted and lose repeated ids unless asked to keep
+    them. Returns each size s >= 2's edges as a block merged by `merge_rows`,
+    every edge's size after that, and the edges that held a repeated id."""
+    edge = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((ids, edge))
+    edge, ids = edge[order], ids[order]
+    repeat = np.zeros(len(ids), dtype=bool)
+    repeat[1:] = (edge[1:] == edge[:-1]) & (ids[1:] == ids[:-1])
+    repeated = np.unique(edge[repeat])
+    if not keep_multiplicities:
+        edge, ids = edge[~repeat], ids[~repeat]
+    size = np.bincount(edge, minlength=len(sizes))
+    elem_size = size[edge]
+    blocks = {s: merge_rows(ids[elem_size == s].reshape(-1, s), weight[size == s])
+              for s in np.unique(size[size >= 2]).tolist()}
+    return blocks, size, repeated
+
+
 def preprocess_stream(
     sizes: np.ndarray,
     ids: np.ndarray,
@@ -422,21 +439,8 @@ def preprocess_stream(
     if int(sizes.sum()) != len(ids) or (sizes < 0).any():
         raise DataError("simplex sizes do not match the id stream")
     raw = len(sizes)
-    simplex = np.repeat(np.arange(raw), sizes)
-    order = np.lexsort((ids, simplex))
-    simplex, ids_sorted = simplex[order], ids[order]
-    repeat = np.zeros(len(ids), dtype=bool)
-    repeat[1:] = (simplex[1:] == simplex[:-1]) & (ids_sorted[1:] == ids_sorted[:-1])
-    with_repeats = len(np.unique(simplex[repeat]))
-    if not keep_multiplicities:
-        simplex, ids_sorted = simplex[~repeat], ids_sorted[~repeat]
-    size = np.bincount(simplex, minlength=raw)
+    blocks, size, repeated = _edge_blocks(sizes, ids, np.ones(raw), keep_multiplicities)
     kept = size >= 2
-    elem_size = size[simplex]
-    blocks = {}
-    for s in np.unique(size[kept]).tolist():
-        rows = ids_sorted[elem_size == s].reshape(-1, s)
-        blocks[s] = merge_rows(rows, np.ones(len(rows)))
     node_ids = np.unique(np.concatenate([r.ravel() for r, _ in blocks.values()])) \
         if blocks else np.zeros(0, dtype=np.int64)
     blocks = {s: (np.searchsorted(node_ids, r), w) for s, (r, w) in blocks.items()}
@@ -444,7 +448,7 @@ def preprocess_stream(
     seen = len(np.unique(ids))
     report = PreprocessReport(
         raw_simplices=raw,
-        simplices_with_repeats=with_repeats,
+        simplices_with_repeats=len(repeated),
         dropped_small=int(raw - kept.sum()),
         merged_duplicates=int(kept.sum()) - h.num_edges,
         raw_node_ids=seen,

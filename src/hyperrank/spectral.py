@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .hypergraph import AuxSpec, Hypergraph, component_roots, is_strongly_connected
+from .hypergraph import (AuxSpec, Hypergraph, _distinct_labels, component_roots,
+                         is_strongly_connected)
 from .tensor import ScoreVector, UniformTensor, _as_array, apply, from_hypergraph
 from .uniformize import alternative_uniformization, project, uplift, uplift_project
 
@@ -167,11 +168,11 @@ def h_eigen_power(
     and positive, or a zero component of the next iterate, means the
     iterate underflowed and raises `ConvergenceError`.
 
-    `labels` names the tensor's indices (default 0..dim-1) and
-    `aux_indices` lists the auxiliary ones, reported in `aux_scores`. A
-    disconnected hypergraph (the tensor is then not weakly irreducible), a
-    label count other than `dim` or an auxiliary index outside 0..dim-1 is
-    refused with a `DataError` before the iteration starts.
+    `labels` names the tensor's indices (default 0..dim-1) and `aux_indices`
+    the auxiliary ones, reported in `aux_scores`. A disconnected hypergraph
+    (the tensor is then not weakly irreducible), labels that are not `dim`
+    distinct hashables or an auxiliary index outside 0..dim-1 is refused with
+    a `DataError` before the iteration starts.
     """
     opts = options or SolverOptions()
     _require_connected(t.hypergraph)  # weak irreducibility; cached per hypergraph
@@ -180,6 +181,8 @@ def h_eigen_power(
         labels = tuple(range(n))
     if len(labels) != n:
         raise DataError(f"{len(labels)} labels for a tensor on {n} indices")
+    if len(_distinct_labels(labels)) != n:
+        raise DataError("labels must be distinct")
     if any(not 0 <= i < n for i in aux_indices):
         raise DataError(f"auxiliary indices {tuple(aux_indices)} are not all in 0..{n - 1}")
     if opts.seed is not None:

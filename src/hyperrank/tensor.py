@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DataError
 from .hypergraph import Hypergraph, Support
 
-NORMS = ("l1", "l2", "max", "none")
+NORMS = ("l1", "l2", "none")
 
 _MAX_ORDER = 20  # factorial-based arrangement counts; no real dataset gets close
 
@@ -38,8 +38,6 @@ def _norm_value(values: np.ndarray, norm: str) -> float:
         return float(np.abs(values).sum())
     if norm == "l2":
         return float(np.sqrt((values * values).sum()))
-    if norm == "max":
-        return float(np.abs(values).max()) if values.size else 0.0
     return 1.0
 
 
@@ -56,29 +54,20 @@ class ScoreVector:
         object.__setattr__(self, "values", vals)
         if self.normalization not in NORMS:
             raise DataError(f"unknown normalization {self.normalization!r}")
-        if self.normalization != "none":
-            actual = _norm_value(vals, self.normalization)
-            if abs(actual - 1.0) > 1e-12:
-                raise DataError(
-                    f"vector does not satisfy {self.normalization} norm: {actual}"
-                )
+        actual = _norm_value(vals, self.normalization)  # 1 for "none"
+        if not abs(actual - 1.0) <= 1e-12:  # NaN fails too
+            raise DataError(
+                f"vector does not satisfy {self.normalization} norm: {actual}"
+            )
 
     @staticmethod
     def normalized(values: Iterable[float], norm: str = "l1") -> "ScoreVector":
         vals = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
                           dtype=float)
         scale = _norm_value(vals, norm)
-        if norm != "none":
-            if scale == 0:
-                raise DataError("cannot normalize the zero vector")
-            vals = vals / scale
-        return ScoreVector(vals, norm)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
+        if scale == 0:
+            raise DataError("cannot normalize the zero vector")
+        return ScoreVector(vals / scale, norm)
 
 
 ArrayLike = Union[np.ndarray, ScoreVector, Iterable[float]]

@@ -152,7 +152,8 @@ def project(h: Hypergraph, p: int, counter: BuildCounter | None = None) -> Hyper
 
     Each distinct p-subset is weighted by the total weight of the larger
     edges containing it, aggregated with the weight of the subset if it was
-    already an edge. Edges of size <= p pass through unchanged.
+    already an edge. Blocks below p pass through unchanged: only the order-p
+    block, where subsets collide, is merged.
     """
     if p < 2:
         raise DataError(f"projection order must be >= 2, got {p}")
@@ -162,7 +163,7 @@ def project(h: Hypergraph, p: int, counter: BuildCounter | None = None) -> Hyper
     rows_p, weights_p = [], []
     for s, (rows, w) in h.blocks.items():
         if s < p:
-            blocks[s] = merge_rows(rows, w)
+            blocks[s] = (rows, w)
             continue
         if s > p:
             _require_simple(rows, "projection")
@@ -229,7 +230,9 @@ def _alpha(m: int, s: int) -> int:
 def alternative_uniformization(h: Hypergraph, m: int) -> Hypergraph:
     """Uniformize by index duplication: a size-s edge becomes every multiset
     over its nodes with all multiplicities >= 1 summing to m, each entry
-    valued at weight * s / alpha with alpha the total arrangement count.
+    valued at weight * s / alpha with alpha the total arrangement count. No
+    rows merge: sorted, distinct input rows (as ingest and `project` emit)
+    give sorted, distinct rows, one chunk per (size, composition) pattern.
     """
     _check_order(h, m, "uniformize")
     _composition_rows(h.edge_sizes(), m)
@@ -241,6 +244,6 @@ def alternative_uniformization(h: Hypergraph, m: int) -> Hypergraph:
         for comp in _compositions(m, s):
             rows.append(np.repeat(r, comp, axis=1))
             weights.append(value)
-    blocks = {m: merge_rows(np.concatenate(rows), np.concatenate(weights))} if rows else {}
+    blocks = {m: (np.concatenate(rows), np.concatenate(weights))} if rows else {}
     return Hypergraph(h.n, labels=h.labels, aux=h.aux, blocks=blocks)
 

@@ -6,12 +6,14 @@ tensor is a sorted tuple of (support, value) entries, `apply` expands every
 (entry, node) pair into a row of m-1 indices, and the uplift detection and
 Z-eigenpair scan edge by edge. They read hypergraphs through the
 `Hypergraph.edges` view only, and build them through `hypergraph` below, so
-they share no code with the kernels under test.
+they share no code with the kernels under test, apart from `merge_rows` in
+the `from_edge_list` loop.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 from itertools import combinations
 from typing import Optional
@@ -20,7 +22,8 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 import hyperrank as hr
-from hyperrank.hypergraph import _label_sort_key, sort_labels
+from hyperrank.hypergraph import (_check_weights, _distinct_labels, _label_sort_key,
+                                  merge_rows, sort_labels)
 from hyperrank.uniformize import _alpha, _compositions, _fresh_label, star_factor
 
 
@@ -64,6 +67,37 @@ def build_preprocessed(simplices, keep_multiplicities=False):
         "final_edges": len(edges),
     }
     return labels, edges, report
+
+
+def from_edge_list(edge_lists, weights=None, nodes=(), keep_multiplicities=False):
+    """`Hypergraph.from_edge_list` as the per-edge loop it was before the
+    array ingest kernel: each edge sorted, collapsed with a warning, grouped
+    by size, and each size merged."""
+    edge_lists = [list(e) for e in edge_lists]
+    weights = np.ones(len(edge_lists)) if weights is None \
+        else np.asarray(weights, dtype=float)
+    if weights.shape != (len(edge_lists),):
+        raise hr.DataError(f"weights have shape {weights.shape}, expected "
+                           f"({len(edge_lists)},), one per edge")
+    _check_weights(weights)
+    universe = _distinct_labels([*nodes, *(v for e in edge_lists for v in e)])
+    labels = tuple(sort_labels(universe))
+    index = {lab: i for i, lab in enumerate(labels)}
+
+    groups: dict[int, tuple[list, list]] = {}
+    for e, w in zip(edge_lists, weights):
+        row = sorted(index[v] for v in e)
+        if not keep_multiplicities and len(set(row)) < len(row):
+            warnings.warn(f"collapsing repeated nodes within edge {e!r} to a set",
+                          stacklevel=2)
+            row = sorted(set(row))
+        rows, ws = groups.setdefault(len(row), ([], []))
+        rows.append(row)
+        ws.append(w)
+    blocks = {s: merge_rows(np.array(rows, dtype=np.int64).reshape(len(rows), s),
+                            np.array(ws))
+              for s, (rows, ws) in groups.items()}
+    return hr.Hypergraph(len(labels), labels, blocks=blocks)
 
 
 # ---- rewrites ----------------------------------------------------------

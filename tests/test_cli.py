@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -339,6 +340,19 @@ class TestCentrality:
         scores = read_scores(out)
         assert scores["2"] == pytest.approx(math.sqrt(2) / (2 + math.sqrt(2)),
                                             abs=1e-8)
+
+    def test_scores_csv_quotes_labels(self, tmp_path):
+        prefix = write_dataset(tmp_path, [2, 2], [1, 2, 2, 3],
+                               labels=[(1, "foo,bar"), (2, '"q"'), (3, "plain")])
+        out = tmp_path / "ec.csv"
+        assert main(["centrality", "--method", "ec", "--input", prefix,
+                     "--out", str(out)]) == 0
+        with out.open(newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["node", "score"]
+        assert sorted(r[0] for r in rows[1:]) == ['"q"', "foo,bar", "plain"]
+        assert all(len(r) == 2 for r in rows)
+        assert "\nplain,0." in out.read_text()  # an ordinary label is written as is
 
     def test_zec_uplift_keeps_multiplicities(self, tmp_path):
         # two 5-edges padding the path 1-2-3 with node 4 once and node 5 twice

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperrank as hr
+from hyperrank.hypergraph import component_roots
 from oracles import random_hypergraph
 
 
@@ -134,6 +135,11 @@ class TestFlatteningAgreement:
                 flat_comps.append(sorted(comp))
             uf_comps = sorted(sorted(c) for c in hr.connected_components(g))
             assert sorted(flat_comps) == uf_comps
+            # a node repeated in a row (the star padding a short edge) joins
+            # as its distinct nodes do
+            distinct = [np.array([e.nodes]) for e in g.edges]
+            assert np.array_equal(component_roots(g.n, distinct),
+                                  component_roots(g.n, [g.blocks[g.max_size][0]]))
 
 
 class TestConstruction:
@@ -156,6 +162,8 @@ class TestConstruction:
             hr.Hypergraph(4, blocks={1: ([[3]], [1.0])})
         with pytest.raises(hr.DataError, match="at least 2 nodes"):
             hr.Hypergraph.from_edge_list([[1], [1, 2]])
+        with pytest.raises(hr.DataError, match="size-0 edge"):
+            hr.Hypergraph.from_edge_list([[], [], [1, 2]])
 
     def test_rejects_nonpositive_weight(self):
         for w in (0.0, -1.0, math.inf, math.nan):

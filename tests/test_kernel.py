@@ -2,6 +2,8 @@
 (`reference.py`) and the dense oracle, on small random non-uniform
 hypergraphs."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import hyperrank as hr
 import reference
+from hyperrank.hypergraph import merge_rows
 from hyperrank.uniformize import MAX_PROJECTED_ROWS, _composition_rows, projected_rows
 from oracles import dense_apply
 
@@ -229,6 +232,52 @@ class TestPreprocessMatchesReference:
         assert report.as_dict() == want
         assert h.labels == labels
         assert {e.support: e.weight for e in h.edges} == edges
+
+    @given(st.lists(st.lists(st.one_of(st.integers(0, 6), st.sampled_from("ab")),
+                             min_size=1, max_size=5), max_size=12),
+           st.booleans(), st.booleans(),
+           st.lists(st.integers(0, 9), max_size=3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_from_edge_list(self, edges, weighted, keep, nodes, data):
+        # same labels, block rows, weight bytes, warnings and refusals as the loop
+        weights = data.draw(st.lists(st.floats(0.25, 2.0), min_size=len(edges),
+                                     max_size=len(edges))) if weighted else None
+
+        def outcome(build):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    h = build(edges, weights, nodes, keep)
+                except hr.DataError as exc:
+                    got = str(exc)
+                else:
+                    got = (h.labels, [(s, r.tobytes(), w.tobytes())
+                                      for s, (r, w) in h.blocks.items()])
+            return got, [str(w.message) for w in caught]
+
+        assert outcome(hr.Hypergraph.from_edge_list) == outcome(reference.from_edge_list)
+
+
+class TestMergeOnlyWhereRowsCollide:
+    @given(hypergraphs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_alt_and_projection_pass_rows_on(self, h, data):
+        m = data.draw(st.integers(2, h.max_size + 1))
+        p = hr.project(h, m)
+        for s, (rows, w) in p.blocks.items():
+            if s < m:  # passed through, not re-merged
+                assert np.array_equal(rows, h.blocks[s][0])
+                assert w.tobytes() == h.blocks[s][1].tobytes()
+        g = hr.alternative_uniformization(p, m)
+        rows, w = g.blocks[m]
+        merged = merge_rows(rows, w)
+        assert len(merged[0]) == len(rows)  # no two composition rows coincide
+        want = hr.from_hypergraph(hr.Hypergraph(g.n, g.labels, g.aux, blocks={m: merged}))
+        got = hr.from_hypergraph(g)
+        assert [b.mult for b in got.blocks] == [b.mult for b in want.blocks]
+        for a, b in zip(got.blocks, want.blocks):
+            assert np.array_equal(a.rows, b.rows)
+            assert a.weight.tobytes() == b.weight.tobytes()
 
 
 class TestComponentOrder:

@@ -123,6 +123,11 @@ class TestHEigenPower:
                 hr.h_eigen_power(t, labels=g.labels, aux_indices=aux)
         res = hr.h_eigen_power(t, labels=g.labels, aux_indices=g.aux.nodes)
         assert set(res.aux_scores) == {"*"} and len(res.labels) == 6
+        # a repeated label would drop a node from `as_mapping`
+        path = hr.from_hypergraph(hr.Hypergraph.from_edge_list([[1, 2], [2, 3]]))
+        for labels in (("a", "a", "b"), ("a", ["b"], "c")):
+            with pytest.raises(hr.DataError, match="labels"):
+                hr.h_eigen_power(path, labels=labels)
 
     def test_max_iter_flags_nonconverged(self, example6):
         t = hr.from_hypergraph(hr.uplift_project(example6, 2))

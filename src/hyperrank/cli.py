@@ -337,20 +337,23 @@ def cmd_compare(args) -> int:
     runs = [_parse_compare_tag(t) for t in args.methods.split(",") if t.strip()]
     if len(runs) < 2:
         raise UsageError("compare needs at least 2 method tags")
+    names = [name for _, _, name in runs]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise UsageError(f"method tag {name!r} is repeated in --methods")
     opts = _options(args)
     h, report = _ingest(args.input)
 
     scores: dict[str, dict] = {}
     for method, order, name in runs:
-        if name not in scores:
-            print(f"running {name} ...")
-            # an h<m> slice is always reduced to its largest component
-            scores[name], meta = _solve(h, method, order, args, opts,
-                                        lcc=args.lcc or method == "hec")
-            if not meta["converged"]:
-                raise ConvergenceError(f"method {name} did not converge")
+        print(f"running {name} ...")
+        # an h<m> slice is always reduced to its largest component
+        scores[name], meta = _solve(h, method, order, args, opts,
+                                    lcc=args.lcc or method == "hec")
+        if not meta["converged"]:
+            raise ConvergenceError(f"method {name} did not converge")
 
-    table = RankingTable.from_scores([(name, scores[name]) for _, _, name in runs])
+    table = RankingTable.from_scores(scores)
     if ks is None:
         ks = default_ks(len(table.labels))
     heat, curves = heatmap_and_curves(table, ks)
@@ -404,7 +407,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="seed for a random positive start vector (default: uniform start)")
     sub.add_argument("--aux-gauge", dest="aux_gauge", action="store_true",
                      help="solve on the once-more-uplifted tensor with the auxiliary "
-                          "component as scale gauge (flatter scores)")
+                          "component as scale gauge (flatter scores); applied as an "
+                          "operator on the tensor, with the same math")
 
 
 def build_parser() -> argparse.ArgumentParser:

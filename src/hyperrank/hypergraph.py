@@ -48,6 +48,14 @@ def _distinct_labels(labels: Sequence) -> set:
         raise
 
 
+def _fresh_label(existing, base: str):
+    """`base`, primed until it is not one of the `existing` labels."""
+    label = base
+    while label in existing:
+        label += "'"
+    return label
+
+
 def _check_weights(weight: np.ndarray) -> None:
     """Refuse weights that are not positive and finite (NaN included)."""
     if not (np.isfinite(weight) & (weight > 0)).all():

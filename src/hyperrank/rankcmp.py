@@ -22,71 +22,94 @@ Curve = list[tuple[int, float]]
 #  Kendall tau (tau-b)
 # ──────────────────────────────────────────────────────────────────────
 
+# Keys (pairs times padded width) one batch of the rank sweep holds: enough
+# that the per-call overhead is paid once at small n, small enough that the
+# working set stays a few MB at large n.
+_BATCH_KEYS = 1 << 16
+
+
 def _run_offsets(starts: np.ndarray) -> np.ndarray:
-    """Index of each element within its run; `starts` flags the run heads."""
-    pos = np.arange(starts.size)
-    return pos - np.maximum.accumulate(np.where(starts, pos, 0))
+    """Index of each element within its run, row by row; `starts` flags the
+    run heads, and each row starts with one (as `_heads` gives)."""
+    pos = np.arange(starts.size).reshape(starts.shape)
+    return pos - np.maximum.accumulate(np.where(starts, pos, 0).ravel()).reshape(pos.shape)
+
+
+def _heads(x: np.ndarray) -> np.ndarray:
+    """Flags the elements of each row that differ from their left neighbour."""
+    new = np.ones(x.shape, dtype=bool)
+    new[:, 1:] = x[:, 1:] != x[:, :-1]
+    return new
 
 
 def _earlier_counts(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each position j, count the positions i < j with rank[i] < rank[j]
-    and those with rank[i] == rank[j].
+    """For each row and position j, count the positions i < j with
+    rank[i] < rank[j] and those with rank[i] == rank[j].
 
-    Bottom-up merge sort of the keys `rank << bits | position`, padded to a
-    power of two at the end, where no real element counts the padding. Once
-    the blocks of width 2^(k+1) are sorted, an element of a block's right
-    half (position bit k set) is preceded by exactly the left-half elements
-    of rank <= its own: its index in the block less the right-half elements
-    up to it. The final order is by (rank, position), so its runs give the
-    equal counts.
+    Bottom-up merge sort of the keys `rank << bits | position`, every row
+    padded to a power of two at the end, where no real element counts the
+    padding. Once the blocks of width 2^(k+1) are sorted, an element of a
+    block's right half (position bit k set) is preceded by exactly the
+    left-half elements of rank <= its own: its index in the block less the
+    right-half elements up to it. The final order is by (rank, position),
+    so its runs give the equal counts.
     """
-    n = rank.size
+    p, n = rank.shape
     bits = (n - 1).bit_length()
     size = 1 << bits
     idx = np.arange(size, dtype=np.int64)
-    keys = np.zeros(size, dtype=np.int64)
-    keys[:n] = rank
+    keys = np.zeros((p, size), dtype=np.int64)
+    keys[:, :n] = rank
     keys = (keys << bits) | idx
-    lower_eq = np.zeros(size, dtype=np.int64)
+    row = np.arange(p, dtype=np.int64)[:, None] * size
+    lower_eq = np.zeros(p * size, dtype=np.int64)
     for k in range(bits):
-        keys = np.sort(keys.reshape(-1, 2 << k), axis=1).ravel()
+        keys = np.sort(keys.reshape(p, -1, 2 << k), axis=-1).reshape(p, size)
         right = (keys >> k) & 1
-        # each earlier block holds 2^k right-half elements
-        before = idx + 1 - np.cumsum(right) - ((idx >> (k + 1)) << k)
-        lower_eq[keys & (size - 1)] += right * before
-    in_order = keys >> bits
-    equal = np.empty(size, dtype=np.int64)
-    equal[keys & (size - 1)] = _run_offsets(np.r_[True, in_order[1:] != in_order[:-1]])
-    return (lower_eq - equal)[:n], equal[:n]
+        # each earlier block of the row holds 2^k right-half elements
+        before = idx + 1 - np.cumsum(right, axis=1) - ((idx >> (k + 1)) << k)
+        lower_eq[row + (keys & (size - 1))] += right * before
+    equal = np.empty(p * size, dtype=np.int64)
+    equal[row + (keys & (size - 1))] = _run_offsets(_heads(keys >> bits))
+    lower_eq, equal = lower_eq.reshape(p, size), equal.reshape(p, size)
+    return (lower_eq - equal)[:, :n], equal[:, :n]
 
 
-def _prefix_counts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair counts of every tie-inclusive top prefix of column a, in one sweep.
+def _prefix_counts(rank_a: np.ndarray, rank_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair counts of every tie-inclusive top prefix of a, for each row pair
+    of the (P, n) dense ranks, in one sweep.
 
-    Returns `ends`, the prefix sizes (the end of each tie group of a in
-    descending order), and `sums`, an int64 array whose rows are ties_a,
-    ties_b, ties_ab and the discordant pairs of the top-`ends[g]` nodes.
-    Within a tie group of a the order is b descending, so an earlier node
-    with a smaller b always lies in an earlier group: that pair is
-    discordant, never tied in a. A NaN score, which has no rank, is a
-    `DataError`.
+    Returns `ends`, whose (p, i) entry is the size of the smallest such
+    prefix holding position i (the end of i's tie group of a in descending
+    order), and `sums`, an int64 (4, P, n) array whose (:, p, i) column
+    holds ties_a, ties_b, ties_ab and the discordant pairs of the top-(i+1)
+    nodes. Within a tie group of a the order is b descending, so an earlier
+    node with a smaller b always lies in an earlier group: that pair is
+    discordant, never tied in a.
     """
-    if np.isnan(a).any() or np.isnan(b).any():
-        raise DataError("scores to rank must not be NaN")
-    n = a.size
-    rank_a, rank_b = (np.unique(x, return_inverse=True)[1] for x in (a, b))
-    key = np.sort(rank_a * n + rank_b)[::-1]
+    p, n = rank_a.shape
+    key = np.sort(rank_a * n + rank_b, axis=1)[:, ::-1]
     rank_a, rank_b = np.divmod(key, n)
-    new_a = np.r_[True, rank_a[1:] != rank_a[:-1]]
+    new_a = _heads(rank_a)
     lower, equal = _earlier_counts(rank_b)
-    ends = np.flatnonzero(np.r_[new_a[1:], True]) + 1
-    sums = np.cumsum([
-        _run_offsets(new_a),
-        equal,
-        _run_offsets(np.r_[True, key[1:] != key[:-1]]),
-        lower,
-    ], axis=1)
-    return ends, sums[:, ends - 1]
+    last = np.ones_like(new_a)
+    last[:, :-1] = new_a[:, 1:]
+    # each row ends with a group end, so the reversed running minimum
+    # stays within its row
+    pos = np.arange(p * n).reshape(p, n)
+    ends = np.minimum.accumulate(np.where(last, pos, p * n).ravel()[::-1])[::-1]
+    ends = ends.reshape(p, n) - pos[:, :1] + 1
+    sums = np.cumsum([_run_offsets(new_a), equal, _run_offsets(_heads(key)), lower],
+                     axis=-1)
+    return ends, sums
+
+
+def _dense_ranks(columns: np.ndarray) -> np.ndarray:
+    """Dense integer ranks of each row; a NaN score, which has no rank, is a
+    `DataError`."""
+    if np.isnan(columns).any():
+        raise DataError("scores to rank must not be NaN")
+    return np.stack([np.unique(c, return_inverse=True)[1] for c in columns])
 
 
 def _tau_b(n: int, ties_a: int, ties_b: int, ties_ab: int, discordant: int) -> float:
@@ -100,6 +123,42 @@ def _tau_b(n: int, ties_a: int, ties_b: int, ties_ab: int, discordant: int) -> f
     return numerator / denom
 
 
+def _sweep(ranks: np.ndarray, pairs: Sequence[tuple[int, int]], ks: Sequence[int]):
+    """For each ordered pair (i, j) of rows of the dense ranks, yield the
+    top-K curve of column j over the top-K nodes of column i and the
+    whole-ranking tau, from one batched sweep per `_BATCH_KEYS` keys.
+
+    Each K reads the prefix that ends with the tie group of its K-th node;
+    sorted Ks give nondecreasing ends, and each distinct end is kept once.
+    """
+    n = ranks.shape[1]
+    per_batch = max(1, _BATCH_KEYS >> (n - 1).bit_length())
+    at = np.asarray(ks, dtype=np.int64) - 1
+    for start in range(0, len(pairs), per_batch):
+        i, j = np.array(pairs[start:start + per_batch]).T
+        ends, sums = _prefix_counts(ranks[i], ranks[j])
+        ends = ends[:, at]
+        rows, cols = np.nonzero(_heads(ends))
+        ends = ends[rows, cols]
+        counts = sums[:, rows, ends - 1].T.tolist()
+        points = [(e, _tau_b(e, *c)) for e, c in zip(ends.tolist(), counts)]
+        bounds = np.searchsorted(rows, np.arange(len(i) + 1)).tolist()
+        for a, b, whole in zip(bounds, bounds[1:], sums[:, :, -1].T.tolist()):
+            yield points[a:b], _tau_b(n, *whole)
+
+
+def _check_ks(ks: Sequence[int], n: int) -> list[int]:
+    """The Ks of at least 2, after refusing unsorted Ks and any K above n."""
+    ks = list(ks)
+    if ks != sorted(ks):
+        raise DataError("Ks must be sorted ascending")
+    ks = [k for k in ks if k >= 2]
+    for k in ks:
+        if k > n:
+            raise DataError(f"K={k} exceeds table size {n}")
+    return ks
+
+
 def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
     """Tie-corrected Kendall rank correlation (tau-b) in O(n log² n).
 
@@ -111,11 +170,10 @@ def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise DataError("kendall_tau needs two equal-length 1-d score arrays")
-    n = a.size
-    if n < 2:
+    if a.size < 2:
         raise DataError("kendall_tau needs at least 2 entries")
-    _, sums = _prefix_counts(a, b)
-    return _tau_b(n, *sums[:, -1].tolist())
+    ((_, tau),) = _sweep(_dense_ranks(np.stack([a, b])), [(0, 1)], [])
+    return tau
 
 
 # ──────────────────────────────────────────────────────────────────────
@@ -185,49 +243,38 @@ def topk_curve(a: Sequence[float], b: Sequence[float], ks: Sequence[int]) -> Cur
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise DataError("columns must align")
-    ks = list(ks)
-    if ks != sorted(ks):
-        raise DataError("Ks must be sorted ascending")
-    n = a.size
-    ks = [k for k in ks if k >= 2]
-    for k in ks:
-        if k > n:
-            raise DataError(f"K={k} exceeds table size {n}")
+    ks = _check_ks(ks, a.size)
     if not ks:
         return []
-    ends, sums = _prefix_counts(a, b)
-    # each K reads the prefix that ends with the tie group of its K-th node
-    g = np.unique(np.searchsorted(ends, ks))
-    rows = zip(ends[g].tolist(), *sums[:, g].tolist())
-    return [(row[0], _tau_b(*row)) for row in rows]
+    ((curve, _),) = _sweep(_dense_ranks(np.stack([a, b])), [(0, 1)], ks)
+    return curve
 
 
 def heatmap_and_curves(
     table: RankingTable, ks: Sequence[int],
 ) -> tuple[np.ndarray, dict[tuple[str, str], Curve]]:
     """The `pairwise_heatmap` of the table and the `topk_curve` of every
-    ordered pair of distinct tags, from one sweep per ordered pair.
+    ordered pair of distinct tags, from one batched sweep over all ordered
+    pairs of columns.
 
-    A heatmap cell is the K = n point of its pair's curve, which is the
-    whole-ranking tau bit for bit; only when the Ks stop short of n's tie
-    group does a cell take its own `kendall_tau` sweep.
+    Each column is ranked once. A heatmap cell is its pair's full-size
+    prefix, the whole-ranking tau bit for bit, whatever the Ks. A repeated
+    tag's later pairs overwrite the curves of its earlier ones.
     """
     k, n = len(table.tags), len(table.labels)
     if k < 2:
         raise DataError("heatmap needs at least 2 columns")
+    ks = _check_ks(ks, n)
+    if n < 2:
+        raise DataError("kendall_tau needs at least 2 entries")
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
     heat = np.eye(k)
     curves: dict[tuple[str, str], Curve] = {}
-    for i, tag_a in enumerate(table.tags):
-        for j, tag_b in enumerate(table.tags):
-            if i == j:
-                continue
-            a, b = table.columns[i], table.columns[j]
-            curve = topk_curve(a, b, ks)
-            if tag_a != tag_b:
-                curves[(tag_a, tag_b)] = curve
-            if i < j:
-                heat[i, j] = heat[j, i] = (curve[-1][1] if curve and curve[-1][0] == n
-                                           else kendall_tau(a, b))
+    for (i, j), (curve, tau) in zip(pairs, _sweep(_dense_ranks(table.columns), pairs, ks)):
+        if table.tags[i] != table.tags[j]:
+            curves[(table.tags[i], table.tags[j])] = curve
+        if i < j:
+            heat[i, j] = heat[j, i] = tau
     return heat, curves
 
 

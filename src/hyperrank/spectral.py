@@ -5,10 +5,13 @@ as uplifts of pairwise graphs, and residual checks.
 
 Two solver conventions are exposed for the uniformized pipelines. The default
 solves the order-m H-eigenproblem of the constructed tensor directly. With
-``aux_gauge=True`` the tensor is uplifted one more order and the solve runs
-there, with the extra auxiliary component acting as the scale gauge; this is
-equivalent to the fixed point of ``lambda * c^[m] = T c^(m-1)`` and produces
-flatter score distributions.
+``aux_gauge=True`` the solve runs on the tensor uplifted one more order, with
+the extra auxiliary component acting as the scale gauge; this is equivalent
+to the fixed point of ``lambda * c^[m] = T c^(m-1)`` and produces flatter
+score distributions. The gauge is applied as an operator on the constructed
+tensor with the same math, not built as a second hypergraph: the uplifted
+tensor's contraction is a scalar rescaling of the base one (see
+`tensor.apply`).
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 from .errors import ConvergenceError, DataError
 from .hypergraph import (AuxSpec, Hypergraph, _distinct_labels, component_roots,
                          is_strongly_connected)
-from .tensor import ScoreVector, UniformTensor, _as_array, apply, from_hypergraph
+from .tensor import (ScoreVector, UniformTensor, _as_array, _GaugedTensor, apply,
+                     from_hypergraph)
 from .uniformize import alternative_uniformization, project, uplift, uplift_project
 
 __all__ = [
@@ -256,12 +260,14 @@ def eigenvector_centrality(
 def _solve_uniformized(
     g: Hypergraph, method: str, options: Optional[SolverOptions], aux_gauge: bool,
 ) -> CentralityResult:
-    """Solve on the uniform hypergraph g, uplifted one order more first when
-    `aux_gauge` is set."""
-    if aux_gauge:
-        g = uplift(g, g.max_size + 1)
+    """Solve on the tensor of the uniform hypergraph g or, when `aux_gauge`
+    is set, on its aux-gauged view: the tensor of `uplift(g, m + 1)`."""
     t = from_hypergraph(g)
-    return h_eigen_power(t, options, labels=g.labels, aux_indices=g.aux.nodes,
+    labels, aux_indices = g.labels, g.aux.nodes
+    if aux_gauge:
+        t = _GaugedTensor(t)
+        labels, aux_indices = t.labels, t.aux_indices
+    return h_eigen_power(t, options, labels=labels, aux_indices=aux_indices,
                          method=method)
 
 

@@ -14,6 +14,11 @@ auxiliary node as one more column. The read-only `UniformTensor.entries` view
 lists the (support, value) pairs on demand for `flattening_matrix` and
 `dense_oracle`, which exist for cross-checking on small instances; nothing is
 densified in production paths.
+
+The aux gauge is a view over the tensor of an m-uniform hypergraph g, not a
+tensor of its own: the tensor of `uplift(g, m + 1)` adds one auxiliary star
+node of multiplicity 1 to every row and scales every weight by 1/(m+1), so
+its contraction is a scalar rescaling of the base contraction.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Iterable, NamedTuple, Union
 import numpy as np
 
 from .errors import DataError
-from .hypergraph import Hypergraph, Support
+from .hypergraph import Hypergraph, Support, _fresh_label
 
 NORMS = ("l1", "l2", "none")
 
@@ -193,6 +198,54 @@ def from_hypergraph(h: Hypergraph) -> UniformTensor:
     return UniformTensor(h)
 
 
+class _GaugedTensor:
+    """The aux-gauged view over the tensor t of an m-uniform hypergraph g:
+    the tensor of `uplift(g, m + 1)` without building it. It has order m+1
+    on `dim` n+1 indices, the star last, and its `hypergraph` is g: the star
+    joins every row, so the gauged tensor is weakly irreducible whenever g
+    is connected, which every pipeline requires. `labels` and `aux_indices`
+    are those of the uplift.
+    """
+
+    def __init__(self, t: UniformTensor):
+        _check_max_order(t.order + 1)
+        h = t.hypergraph
+        self.base = t
+        self.hypergraph = h
+        self.order = t.order + 1
+        self.dim = t.dim + 1
+        self.labels = h.labels + (_fresh_label(set(h.labels), "*"),)
+        self.aux_indices = h.aux.nodes + (h.n,)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Support, float], ...]:
+        """The base entries with the star appended once, value / (m+1)."""
+        star = ((self.dim - 1, 1),)
+        return tuple((s + star, v / self.order) for s, v in self.base.entries)
+
+    @cached_property
+    def _apply_arrays(self):
+        """The base tensor's rows: the star adds none."""
+        return self.base._apply_arrays
+
+
+def _contract(kernels, vec: np.ndarray, dim: int) -> np.ndarray:
+    """`apply` on the kernels of `UniformTensor._apply_arrays`."""
+    y = np.zeros(dim)
+    for rows, cells, coef, sequences in kernels:
+        xr = vec[rows]
+        factors = [xr[:, j] for j in range(rows.shape[1])]
+        terms = np.empty(coef.shape)
+        for j, seq in enumerate(sequences):
+            product = factors[seq[0]]
+            for l in seq[1:]:
+                product = product * factors[l]
+            terms[:, j] = product
+        terms *= coef
+        y += np.bincount(cells, weights=terms.ravel(), minlength=dim)
+    return y
+
+
 def apply(t: UniformTensor, x: ArrayLike) -> np.ndarray:
     """Contract the tensor with m-1 copies of x.
 
@@ -203,21 +256,18 @@ def apply(t: UniformTensor, x: ArrayLike) -> np.ndarray:
     one gather, the leave-one-out products of each column (multiplied in
     support order, so nodes in symmetric positions get bit-identical terms)
     and one bincount.
+
+    On the aux-gauged view of an order-m tensor, with z the base contraction
+    of the real part x[:n] and x_* the star's component: a real column's
+    arrangement count is m times its base count, and the star's is the base
+    row's full count, so y[:n] = (m/(m+1)) x_* z and y_* = (x[:n] . z)/(m+1).
     """
     vec = _as_array(x, t.dim)
-    y = np.zeros(t.dim)
-    for rows, cells, coef, sequences in t._apply_arrays[1]:
-        xr = vec[rows]
-        factors = [xr[:, j] for j in range(rows.shape[1])]
-        terms = np.empty(coef.shape)
-        for j, seq in enumerate(sequences):
-            product = factors[seq[0]]
-            for l in seq[1:]:
-                product = product * factors[l]
-            terms[:, j] = product
-        terms *= coef
-        y += np.bincount(cells, weights=terms.ravel(), minlength=t.dim)
-    return y
+    if isinstance(t, _GaugedTensor):
+        m, real = t.base.order, vec[:-1]
+        z = _contract(t._apply_arrays[1], real, t.dim - 1)
+        return np.append(m / (m + 1) * vec[-1] * z, (real * z).sum() / (m + 1))
+    return _contract(t._apply_arrays[1], vec, t.dim)
 
 
 def flattening_matrix(t: UniformTensor) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DataError
-from .hypergraph import AuxSpec, Hypergraph, merge_rows
+from .hypergraph import AuxSpec, Hypergraph, _fresh_label, merge_rows
 from .tensor import _check_max_order
 
 __all__ = [
@@ -60,13 +60,6 @@ def star_factor(m: int, s: int) -> float:
     """Weight multiplier for a size-s edge padded up to order m."""
     m_star = m - s
     return (m_star * math.factorial(m - m_star)) / math.factorial(m)
-
-
-def _fresh_label(existing, base: str):
-    label = base
-    while label in existing:
-        label += "'"
-    return label
 
 
 def _check_order(h: Hypergraph, m: int, verb: str) -> None:

@@ -7,7 +7,9 @@ tensor is a sorted tuple of (support, value) entries, `apply` expands every
 Z-eigenpair scan edge by edge. They read hypergraphs through the
 `Hypergraph.edges` view only, and build them through `hypergraph` below, so
 they share no code with the kernels under test, apart from `merge_rows` in
-the `from_edge_list` loop.
+the `from_edge_list` loop. The rank sweep at the end is the one-pair-at-a-time
+form of the batched sweep in `rankcmp`; it shares only `_tau_b`, the scalar
+formula, with it.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 import hyperrank as hr
-from hyperrank.hypergraph import (_check_weights, _distinct_labels, _label_sort_key,
-                                  merge_rows, sort_labels)
-from hyperrank.uniformize import _alpha, _compositions, _fresh_label, star_factor
+from hyperrank.hypergraph import (_check_weights, _distinct_labels, _fresh_label,
+                                  _label_sort_key, merge_rows, sort_labels)
+from hyperrank.rankcmp import _tau_b
+from hyperrank.uniformize import _alpha, _compositions, star_factor
 
 
 # ---- ingestion ---------------------------------------------------------
@@ -318,3 +321,109 @@ def z_via_uplift(h: hr.Hypergraph, norm: str) -> tuple[np.ndarray, float]:
     for a, p_a in zip(aux.nodes, aux.multiplicities):
         lam_tensor *= float(vector[a]) ** p_a
     return vector, lam_tensor
+
+
+# ---- rank sweep --------------------------------------------------------
+
+def _run_offsets(starts: np.ndarray) -> np.ndarray:
+    pos = np.arange(starts.size)
+    return pos - np.maximum.accumulate(np.where(starts, pos, 0))
+
+
+def _earlier_counts(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per position j, the positions i < j with rank[i] < rank[j] and those
+    with rank[i] == rank[j], by one bottom-up merge sort of one column."""
+    n = rank.size
+    bits = (n - 1).bit_length()
+    size = 1 << bits
+    idx = np.arange(size, dtype=np.int64)
+    keys = np.zeros(size, dtype=np.int64)
+    keys[:n] = rank
+    keys = (keys << bits) | idx
+    lower_eq = np.zeros(size, dtype=np.int64)
+    for k in range(bits):
+        keys = np.sort(keys.reshape(-1, 2 << k), axis=1).ravel()
+        right = (keys >> k) & 1
+        before = idx + 1 - np.cumsum(right) - ((idx >> (k + 1)) << k)
+        lower_eq[keys & (size - 1)] += right * before
+    in_order = keys >> bits
+    equal = np.empty(size, dtype=np.int64)
+    equal[keys & (size - 1)] = _run_offsets(np.r_[True, in_order[1:] != in_order[:-1]])
+    return (lower_eq - equal)[:n], equal[:n]
+
+
+def _prefix_counts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ends, sums): the end of each tie group of a, descending, and the
+    ties_a, ties_b, ties_ab and discordant counts of each such prefix."""
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise hr.DataError("scores to rank must not be NaN")
+    n = a.size
+    rank_a, rank_b = (np.unique(x, return_inverse=True)[1] for x in (a, b))
+    key = np.sort(rank_a * n + rank_b)[::-1]
+    rank_a, rank_b = np.divmod(key, n)
+    new_a = np.r_[True, rank_a[1:] != rank_a[:-1]]
+    lower, equal = _earlier_counts(rank_b)
+    ends = np.flatnonzero(np.r_[new_a[1:], True]) + 1
+    sums = np.cumsum([
+        _run_offsets(new_a),
+        equal,
+        _run_offsets(np.r_[True, key[1:] != key[:-1]]),
+        lower,
+    ], axis=1)
+    return ends, sums[:, ends - 1]
+
+
+def kendall_tau(a, b) -> float:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 1:
+        raise hr.DataError("kendall_tau needs two equal-length 1-d score arrays")
+    n = a.size
+    if n < 2:
+        raise hr.DataError("kendall_tau needs at least 2 entries")
+    _, sums = _prefix_counts(a, b)
+    return _tau_b(n, *sums[:, -1].tolist())
+
+
+def topk_curve(a, b, ks) -> list:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise hr.DataError("columns must align")
+    ks = list(ks)
+    if ks != sorted(ks):
+        raise hr.DataError("Ks must be sorted ascending")
+    n = a.size
+    ks = [k for k in ks if k >= 2]
+    for k in ks:
+        if k > n:
+            raise hr.DataError(f"K={k} exceeds table size {n}")
+    if not ks:
+        return []
+    ends, sums = _prefix_counts(a, b)
+    # each K reads the prefix that ends with the tie group of its K-th node
+    g = np.unique(np.searchsorted(ends, ks))
+    rows = zip(ends[g].tolist(), *sums[:, g].tolist())
+    return [(row[0], _tau_b(*row)) for row in rows]
+
+
+def heatmap_and_curves(table: hr.RankingTable, ks) -> tuple[np.ndarray, dict]:
+    """One sweep per ordered pair of columns; a heatmap cell is the K = n
+    point of its pair's curve, or its own `kendall_tau` sweep."""
+    k, n = len(table.tags), len(table.labels)
+    if k < 2:
+        raise hr.DataError("heatmap needs at least 2 columns")
+    heat = np.eye(k)
+    curves: dict = {}
+    for i, tag_a in enumerate(table.tags):
+        for j, tag_b in enumerate(table.tags):
+            if i == j:
+                continue
+            a, b = table.columns[i], table.columns[j]
+            curve = topk_curve(a, b, ks)
+            if tag_a != tag_b:
+                curves[(tag_a, tag_b)] = curve
+            if i < j:
+                heat[i, j] = heat[j, i] = (curve[-1][1] if curve and curve[-1][0] == n
+                                           else kendall_tau(a, b))
+    return heat, curves

@@ -148,6 +148,8 @@ class TestExitCodes:
         (["centrality", "--method", "uhec"], "--order is required for uhec"),
         (["centrality", "--method", "alt"], "--order is required for alt"),
         (["centrality", "--method", "uphec"], "--p is required for uphec"),
+        (["compare", "--methods", "u2,U2"], "method tag 'U2' is repeated"),
+        (["compare", "--methods", "u2,u3,u2"], "method tag 'U2' is repeated"),
     ])
     def test_argument_errors_before_ingest(self, tmp_path, capsys, argv, message):
         prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
@@ -401,15 +403,6 @@ class TestCompare:
         assert len(curves) > 1
         manifest = json.loads((out_dir / "compare_manifest.json").read_text())
         assert manifest["methods"] == ["U2", "U3", "H3"]
-
-    def test_duplicate_tags_give_perfect_correlation(self, tmp_path):
-        prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
-        out_dir = tmp_path / "dup"
-        code = main(["compare", "--methods", "u2,u2", "--input", prefix,
-                     "--out-dir", str(out_dir)])
-        assert code == 0
-        lines = (out_dir / "heatmap.csv").read_text().splitlines()
-        assert lines[1] == "U2,1,1" and lines[2] == "U2,1,1"
 
     def test_byte_identical_reruns(self, tmp_path):
         prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)

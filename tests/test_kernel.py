@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import hyperrank as hr
 import reference
 from hyperrank.hypergraph import merge_rows
+from hyperrank.tensor import _GaugedTensor
 from hyperrank.uniformize import MAX_PROJECTED_ROWS, _composition_rows, projected_rows
 from oracles import dense_apply
 
@@ -81,6 +82,38 @@ class TestTensorKernel:
             y = hr.apply(t, x)
             assert np.max(np.abs(y - reference.apply(rows, t.dim, x))) <= 1e-12
             assert np.max(np.abs(y - dense_apply(dense, x))) <= 1e-12
+
+    @given(hypergraphs(), st.sampled_from(KINDS), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_gauged_view_is_the_uplifted_tensor(self, h, kind, data):
+        # the aux gauge as an operator on the base tensor is the tensor of
+        # the hypergraph uplifted one more order, to rounding
+        if kind == "uplift_project":
+            m = data.draw(st.integers(2, h.max_size))
+        else:
+            m = h.max_size + data.draw(st.integers(0, 1))
+        g, _ = build(h, kind, m, aux_gauge=False)
+        view = _GaugedTensor(hr.from_hypergraph(g))
+        up = hr.uplift(g, g.max_size + 1)
+        want = hr.from_hypergraph(up)
+        assert (view.order, view.dim) == (want.order, want.dim)
+        assert view.labels == up.labels
+        assert view.aux_indices == up.aux.nodes
+        assert view.hypergraph is g
+
+        assert [s for s, _ in view.entries] == [s for s, _ in want.entries]
+        for (_, got), (_, value) in zip(view.entries, want.entries):
+            assert got == pytest.approx(value, rel=1e-14)
+        np.testing.assert_allclose(hr.dense_oracle(view), hr.dense_oracle(want),
+                                   rtol=1e-14, atol=0)
+        xrng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for _ in range(3):
+            x = xrng.uniform(-1, 1, view.dim)
+            assert np.max(np.abs(hr.apply(view, x) - hr.apply(want, x))) <= 1e-12
+        x = xrng.uniform(0.5, 1.5, view.dim)
+        lam = float(xrng.uniform(0.5, 2.0))
+        assert hr.verify_h_eigenpair(view, lam, x).residual == pytest.approx(
+            hr.verify_h_eigenpair(want, lam, x).residual, rel=1e-12)
 
     def test_multiset_rows_split_into_patterns(self, two_aux_uplift):
         t = hr.from_hypergraph(two_aux_uplift)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.stats import kendalltau as scipy_kendalltau
 
 import hyperrank as hr
+import hyperrank.rankcmp as rankcmp
+import reference
 from oracles import kendall_tau_bruteforce, pair_counts_real_nodes
 
 
@@ -55,6 +57,11 @@ class TestKendallTau:
             assert math.isnan(got)
         else:
             assert got == pytest.approx(want, abs=1e-14)
+        # the batched sweep against the one-pair reference, bit for bit
+        assert _outcome(hr.kendall_tau, a, b) == _outcome(reference.kendall_tau, a, b)
+        ks = hr.default_ks(len(a))
+        assert (_outcome(hr.topk_curve, a, b, ks)
+                == _outcome(reference.topk_curve, a, b, ks))
 
     def test_matches_bruteforce_large_instances(self):
         rng = random.Random(8)
@@ -183,6 +190,25 @@ def _same(x, y):
     return x == y or (math.isnan(x) and math.isnan(y))
 
 
+def _outcome(fn, *args):
+    """What `fn` returns or raises, comparable bit for bit: floats as bytes,
+    so NaN positions compare too."""
+    def exact(value):
+        if isinstance(value, float):
+            return np.float64(value).tobytes()
+        if isinstance(value, np.ndarray):
+            return value.shape, value.tobytes()
+        if isinstance(value, (tuple, list)):
+            return type(value).__name__, [exact(v) for v in value]
+        if isinstance(value, dict):
+            return [(k, exact(v)) for k, v in value.items()]
+        return value
+    try:
+        return "value", exact(fn(*args))
+    except hr.DataError as exc:
+        return "error", type(exc).__name__, str(exc)
+
+
 @st.composite
 def _tie_heavy_column(draw, n):
     kind = draw(st.sampled_from(["pool", "zero_filled", "free"]))
@@ -228,29 +254,55 @@ class TestOneSweepExactness:
         assert heat.tobytes() == heat.T.copy().tobytes()
         assert _same(hr.kendall_tau(b, a), hr.kendall_tau(a, b))
 
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_heatmap_and_curves_reuse_the_curve_sweeps(self, data):
-        n = data.draw(st.integers(2, 50))
-        cols = [data.draw(_tie_heavy_column(n)) for _ in range(3)]
-        tags = data.draw(st.sampled_from([("A", "B", "C"), ("A", "B", "A")]))
-        if tags[2] == "A":
-            cols[2] = cols[0]  # a repeated tag repeats its column
-        table = hr.RankingTable.from_scores(
-            [(tag, dict(enumerate(col))) for tag, col in zip(tags, cols)])
-        # Ks that reach n, and Ks that may stop short of n's tie group
+    @given(st.data(), st.sampled_from([rankcmp._BATCH_KEYS, 1]))
+    @settings(max_examples=150, deadline=None)
+    def test_heatmap_and_curves_reuse_the_curve_sweeps(self, data, batch_keys):
+        # the batched sweep over all ordered pairs equals one reference sweep
+        # per pair bit for bit: taus, sizes, NaN positions, dict order and
+        # refusals; with one key per batch, every pair is its own batch
+        n = data.draw(st.integers(0, 50))
+        k = data.draw(st.integers(1, 4))
+        tags = tuple(data.draw(st.sampled_from("ABC")) for _ in range(k))
+        cols = [data.draw(_tie_heavy_column(n)) for _ in range(k)]
+        first = [tags.index(tag) for tag in tags]
+        cols = [cols[i] for i in first]  # a repeated tag repeats its column
+        if n and data.draw(st.booleans()):
+            cols[-1][data.draw(st.integers(0, n - 1))] = float("nan")
+        table = hr.RankingTable(tuple(range(n)), tags, np.array(cols).reshape(k, n),
+                                np.ones((k, n), dtype=bool))
+        # Ks that reach n, Ks that may stop short of n's tie group, and Ks
+        # that may be out of range or unsorted
         ks = data.draw(st.sampled_from([
             hr.default_ks(n),
-            sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))]))
-        heat, curves = hr.heatmap_and_curves(table, ks)
-        assert heat.tobytes() == hr.pairwise_heatmap(table).tobytes()
-        want = {(a, b): hr.topk_curve(table.column(a), table.column(b), ks)
-                for a in table.tags for b in table.tags if a != b}
-        assert list(curves) == list(want)
-        for key, curve in want.items():
-            assert len(curves[key]) == len(curve)
-            assert all(k1 == k2 and _same(t1, t2)
-                       for (k1, t1), (k2, t2) in zip(curves[key], curve))
+            sorted(data.draw(st.lists(st.integers(0, n), max_size=6))),
+            data.draw(st.lists(st.integers(-1, n + 1), max_size=6))]))
+        old = rankcmp._BATCH_KEYS
+        rankcmp._BATCH_KEYS = batch_keys
+        try:
+            got = _outcome(hr.heatmap_and_curves, table, ks)
+        finally:
+            rankcmp._BATCH_KEYS = old
+        assert got == _outcome(reference.heatmap_and_curves, table, ks)
+        if got[0] == "value":
+            heat = hr.pairwise_heatmap(table)
+            for j, i in enumerate(first):
+                if i != j:  # identical columns: 1, or NaN when fully tied
+                    assert heat[i, j] == 1.0 or len(set(cols[i])) == 1
+
+    def test_batches_split_pairs_exactly(self):
+        # 6 ordered pairs of 32,768 padded keys each: 2 pairs per batch, so
+        # the sweep runs 3 batches; the curves and cells match the reference
+        n = 20_000
+        rng = np.random.default_rng(12)
+        base = rng.random(n)
+        cols = np.stack([base, np.round(base + 0.3 * rng.random(n), 2),
+                         np.where(rng.random(n) < 0.3, 0.0, rng.random(n))])
+        table = hr.RankingTable(tuple(range(n)), ("A", "B", "C"), cols,
+                                np.ones(cols.shape, dtype=bool))
+        assert rankcmp._BATCH_KEYS // 32_768 == 2
+        ks = hr.default_ks(n)
+        assert (_outcome(hr.heatmap_and_curves, table, ks)
+                == _outcome(reference.heatmap_and_curves, table, ks))
 
     def test_large_tied_columns_stay_exact(self):
         # about 1,000 tie groups; n0 * n0 no longer fits in int64 here

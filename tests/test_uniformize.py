@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import hyperrank as hr
 from hyperrank.spectral import _require_connected
+from hyperrank.tensor import _GaugedTensor
 from oracles import project_weight_scan, random_hypergraph
 
 
@@ -233,9 +234,10 @@ class TestInvariants:
         built += [hr.uplift_project(h, p) for p in range(2, h.max_size + 1)]
         built += [hr.alternative_uniformization(hr.project(h, k), k) for k in range(2, m + 1)]
         for g in built:
-            for u in (g, hr.uplift(g, g.max_size + 1)):
-                assert hr.is_strongly_connected(u)
-                _require_connected(hr.from_hypergraph(u).hypergraph)
+            t = hr.from_hypergraph(g)
+            for u in (t, _GaugedTensor(t)):  # the gauge checks g itself
+                assert hr.is_strongly_connected(u.hypergraph)
+                _require_connected(u.hypergraph)
 
     def test_uplift_at_max_on_uniform_is_identity(self):
         h = hr.Hypergraph.from_edge_list([[0, 1, 2], [1, 2, 3]])

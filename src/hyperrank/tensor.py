@@ -15,10 +15,8 @@ lists the (support, value) pairs on demand for `flattening_matrix` and
 `dense_oracle`, which exist for cross-checking on small instances; nothing is
 densified in production paths.
 
-The aux gauge is a view over the tensor of an m-uniform hypergraph g, not a
-tensor of its own: the tensor of `uplift(g, m + 1)` adds one auxiliary star
-node of multiplicity 1 to every row and scales every weight by 1/(m+1), so
-its contraction is a scalar rescaling of the base contraction.
+The aux gauge is not a tensor of its own but `_GaugedTensor`, a view whose
+`apply` rescales the base contraction.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -182,44 +182,31 @@ def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RankingTable:
-    """Score columns aligned on the union of node labels, zero-filled.
-
-    `present[k, i]` distinguishes a genuine score of zero from a zero fill
-    for a node absent from method k.
-    """
+    """Score columns of distinct method tags, aligned on the union of node
+    labels; a node a method does not score is zero-filled."""
 
     labels: tuple
     tags: tuple[str, ...]
     columns: np.ndarray
-    present: np.ndarray
 
     def __post_init__(self):
         if self.columns.shape != (len(self.tags), len(self.labels)):
             raise DataError("column matrix shape mismatch")
+        repeated = [tag for tag in dict.fromkeys(self.tags) if self.tags.count(tag) > 1]
+        if repeated:
+            raise DataError(f"method tags are repeated: {', '.join(map(repr, repeated))}")
 
     @staticmethod
-    def from_scores(scores) -> "RankingTable":
-        """Build from {method tag: {node label: score}} or (tag, scores) pairs.
-
-        Repeated tags are allowed (they become identical-by-construction
-        columns useful as determinism checks).
-        """
-        pairs = list(scores.items()) if isinstance(scores, Mapping) else list(scores)
-        if not pairs:
+    def from_scores(scores: Mapping[str, Mapping]) -> "RankingTable":
+        """Build from {method tag: {node label: score}}."""
+        if not scores:
             raise DataError("no score columns given")
-        union: set = set()
-        for _, col in pairs:
-            union.update(col.keys())
-        labels = tuple(sort_labels(union))
+        labels = tuple(sort_labels(set().union(*scores.values())))
         index = {lab: i for i, lab in enumerate(labels)}
-        tags = tuple(tag for tag, _ in pairs)
-        columns = np.zeros((len(tags), len(labels)))
-        present = np.zeros((len(tags), len(labels)), dtype=bool)
-        for k, (_, col) in enumerate(pairs):
-            for lab, val in col.items():
-                columns[k, index[lab]] = val
-                present[k, index[lab]] = True
-        return RankingTable(labels, tags, columns, present)
+        columns = np.zeros((len(scores), len(labels)))
+        for row, col in zip(columns, scores.values()):
+            row[[index[lab] for lab in col]] = list(col.values())
+        return RankingTable(labels, tuple(scores), columns)
 
     def column(self, tag: str) -> np.ndarray:
         return self.columns[self.tags.index(tag)]
@@ -254,12 +241,11 @@ def heatmap_and_curves(
     table: RankingTable, ks: Sequence[int],
 ) -> tuple[np.ndarray, dict[tuple[str, str], Curve]]:
     """The `pairwise_heatmap` of the table and the `topk_curve` of every
-    ordered pair of distinct tags, from one batched sweep over all ordered
-    pairs of columns.
+    ordered pair of tags, from one batched sweep over all ordered pairs of
+    columns.
 
     Each column is ranked once. A heatmap cell is its pair's full-size
-    prefix, the whole-ranking tau bit for bit, whatever the Ks. A repeated
-    tag's later pairs overwrite the curves of its earlier ones.
+    prefix, the whole-ranking tau bit for bit, whatever the Ks.
     """
     k, n = len(table.tags), len(table.labels)
     if k < 2:
@@ -271,23 +257,20 @@ def heatmap_and_curves(
     heat = np.eye(k)
     curves: dict[tuple[str, str], Curve] = {}
     for (i, j), (curve, tau) in zip(pairs, _sweep(_dense_ranks(table.columns), pairs, ks)):
-        if table.tags[i] != table.tags[j]:
-            curves[(table.tags[i], table.tags[j])] = curve
+        curves[(table.tags[i], table.tags[j])] = curve
         if i < j:
             heat[i, j] = heat[j, i] = tau
     return heat, curves
 
 
-def default_ks(n: int, points: int = 24, start: int = 10) -> list[int]:
-    """Roughly geometric K grid from `start` up to n (n always included)."""
+def default_ks(n: int) -> list[int]:
+    """Roughly geometric grid of 24 Ks from 10 up to n (n always included)."""
     if n < 2:
         return []
-    start = min(max(2, start), n)
+    start = min(10, n)
     if n == start:
         return [n]
-    grid = np.unique(
-        np.round(np.geomspace(start, n, num=points)).astype(int)
-    ).tolist()
+    grid = np.unique(np.round(np.geomspace(start, n, num=24)).astype(int)).tolist()
     if grid[-1] != n:
         grid.append(n)
     return grid
@@ -299,16 +282,13 @@ def method_family(tag: str) -> str:
     return fam or tag
 
 
-def curve_filter(
-    curves: Mapping[tuple[str, str], Curve],
-    family: Callable[[str], str] = method_family,
-) -> dict[tuple[str, str], Curve]:
-    """Per family pair, keep at most the curve with the highest maximum, the
-    one with the lowest minimum, and the ones with the highest and lowest
-    mean (deduplicated, first-come tie-breaking)."""
+def curve_filter(curves: Mapping[tuple[str, str], Curve]) -> dict[tuple[str, str], Curve]:
+    """Per `method_family` pair, keep at most the curve with the highest
+    maximum, the one with the lowest minimum, and the ones with the highest
+    and lowest mean (deduplicated, first-come tie-breaking)."""
     groups: dict[tuple[str, str], list[tuple[str, str]]] = {}
     for key in curves:
-        fam = (family(key[0]), family(key[1]))
+        fam = (method_family(key[0]), method_family(key[1]))
         groups.setdefault(fam, []).append(key)
 
     selected: dict[tuple[str, str], Curve] = {}

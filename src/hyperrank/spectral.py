@@ -27,8 +27,8 @@ import numpy as np
 from .errors import ConvergenceError, DataError
 from .hypergraph import (AuxSpec, Hypergraph, _distinct_labels, component_roots,
                          is_strongly_connected)
-from .tensor import (ScoreVector, UniformTensor, _as_array, _GaugedTensor, apply,
-                     from_hypergraph)
+from .tensor import (ScoreVector, UniformTensor, _as_array, _check_max_order,
+                     _GaugedTensor, apply, from_hypergraph)
 from .uniformize import alternative_uniformization, project, uplift, uplift_project
 
 __all__ = [
@@ -126,6 +126,8 @@ class EigenpairCheck:
 
 
 def _require_connected(h: Hypergraph):
+    if not h.blocks:
+        raise DataError("hypergraph has no edges")
     if not is_strongly_connected(h):
         raise DataError(_DISCONNECTED_MSG)
 
@@ -277,11 +279,9 @@ def hec(
     aux_gauge: bool = False,
 ) -> CentralityResult:
     """H-eigenvector centrality of a uniform hypergraph."""
-    if not h.blocks:
-        raise DataError("hypergraph has no edges")
+    _require_connected(h)
     if not h.is_uniform():
         raise DataError("hec requires a uniform hypergraph; see uhec/uphec")
-    _require_connected(h)
     return _solve_uniformized(h, f"HEC({h.max_size})", options, aux_gauge)
 
 
@@ -380,6 +380,7 @@ def z_via_uplift(h: Hypergraph, norm: str) -> ZEigenpair:
     if norm not in ("z1", "z2"):
         raise DataError(f"norm must be 'z1' or 'z2', got {norm!r}")
     _require_connected(h)
+    _check_max_order(h.max_size)
     aux = detect_uplift_structure(h)
     if aux is None:
         raise DataError(

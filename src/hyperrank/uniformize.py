@@ -146,12 +146,15 @@ def project(h: Hypergraph, p: int, counter: BuildCounter | None = None) -> Hyper
     Each distinct p-subset is weighted by the total weight of the larger
     edges containing it, aggregated with the weight of the subset if it was
     already an edge. Blocks below p pass through unchanged: only the order-p
-    block, where subsets collide, is merged.
+    block, where subsets collide, is merged. Identity when no edge is larger
+    than p.
     """
     if p < 2:
         raise DataError(f"projection order must be >= 2, got {p}")
     _check_max_order(p)
     projected_rows(h.edge_sizes(), p)
+    if h.max_size <= p:
+        return h
     blocks = {}
     rows_p, weights_p = [], []
     for s, (rows, w) in h.blocks.items():
@@ -167,8 +170,7 @@ def project(h: Hypergraph, p: int, counter: BuildCounter | None = None) -> Hyper
             w = np.repeat(w, len(subsets))
         rows_p.append(rows)
         weights_p.append(w)
-    if rows_p:
-        blocks[p] = merge_rows(np.concatenate(rows_p), np.concatenate(weights_p))
+    blocks[p] = merge_rows(np.concatenate(rows_p), np.concatenate(weights_p))
     return Hypergraph(h.n, labels=h.labels, aux=h.aux, blocks=blocks)
 
 

@@ -421,8 +421,7 @@ def heatmap_and_curves(table: hr.RankingTable, ks) -> tuple[np.ndarray, dict]:
                 continue
             a, b = table.columns[i], table.columns[j]
             curve = topk_curve(a, b, ks)
-            if tag_a != tag_b:
-                curves[(tag_a, tag_b)] = curve
+            curves[(tag_a, tag_b)] = curve
             if i < j:
                 heat[i, j] = heat[j, i] = (curve[-1][1] if curve and curve[-1][0] == n
                                            else kendall_tau(a, b))

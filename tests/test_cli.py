@@ -189,6 +189,33 @@ class TestExitCodes:
             assert code == 2, method
             assert "--lcc" in capsys.readouterr().err, method
 
+    @pytest.mark.parametrize("argv", [
+        ["centrality", "--method", "uphec", "--p", "2"],
+        ["centrality", "--method", "uhec", "--order", "2"],
+        ["centrality", "--method", "alt", "--order", "2"],
+        ["compare", "--methods", "u2,a3"],
+    ])
+    def test_input_left_edgeless_has_no_edges(self, tmp_path, capsys, argv):
+        # every simplex is a singleton: preprocessing leaves no edge, and
+        # --lcc cannot help
+        prefix = write_dataset(tmp_path, [1, 1], [1, 2])
+        out = (["--out-dir", str(tmp_path / "out")] if argv[0] == "compare"
+               else ["--out", str(tmp_path / "o.csv")])
+        code = main(argv + ["--lcc", "--input", prefix] + out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "data error: hypergraph has no edges\n"
+
+    def test_zec_uplift_above_order_cap(self, tmp_path, capsys):
+        # two pairs padded by 200 common nodes: order 202
+        common = list(range(100, 300))
+        prefix = write_dataset(tmp_path, [202, 202], [1, 2, *common, 2, 3, *common])
+        code = main(["centrality", "--method", "zec-uplift", "--input", prefix,
+                     "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "data error: tensor order 202 exceeds supported 20\n"
+
     @pytest.mark.parametrize("command", ["centrality", "compare"])
     @pytest.mark.parametrize("setting, message", [
         (["--max-iter", "0"], "max_iter"),

@@ -458,6 +458,13 @@ class TestZViaUplift:
         with pytest.raises(hr.DataError, match="disconnected"):
             hr.z_via_uplift(up, "z1")
 
+    def test_refuses_order_above_cap(self):
+        # two pairs padded by 200 common nodes; omega would be 201!
+        common = list(range(100, 300))
+        h = hr.Hypergraph.from_edge_list([[1, 2, *common], [2, 3, *common]])
+        with pytest.raises(hr.DataError, match="tensor order 202 exceeds supported 20"):
+            hr.z_via_uplift(h, "z1")
+
     def test_bad_norm_name(self, two_aux_uplift):
         with pytest.raises(hr.DataError):
             hr.z_via_uplift(two_aux_uplift, "l2")

@@ -98,6 +98,12 @@ class TestProject:
         g = hr.project(path3, 2)
         assert edge_map(g) == edge_map(path3)
 
+    def test_identity_when_no_edge_lies_above_p(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            h = random_hypergraph(rng, n_max=7, size_max=5, n_edges_max=12)
+            assert hr.project(h, max(2, h.max_size) + rng.randint(0, 3)) is h
+
     def test_weights_match_bruteforce_scan(self):
         rng = random.Random(99)
         for _ in range(40):

@@ -343,6 +343,10 @@ def cmd_compare(args) -> int:
             raise UsageError(f"method tag {name!r} is repeated in --methods")
     opts = _options(args)
     h, report = _ingest(args.input)
+    # the table never holds more labels than the input has nodes; a K that
+    # fits those but not the table is refused by `heatmap_and_curves`
+    if ks and ks[-1] > h.n:
+        raise DataError(f"K={ks[-1]} exceeds the {h.n} nodes of the input")
 
     scores: dict[str, dict] = {}
     for method, order, name in runs:

@@ -48,6 +48,16 @@ def _distinct_labels(labels: Sequence) -> set:
         raise
 
 
+def _sorted_distinct(a) -> np.ndarray:
+    """The distinct values of the integer array `a`, flattened and ascending,
+    as `np.unique(a)` gives them, from one sort. In numpy 2.x a plain
+    `np.unique` imports `numpy.ma` on first use, and hashes rather than sorts."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def _fresh_label(existing, base: str):
     """`base`, primed until it is not one of the `existing` labels."""
     label = base
@@ -358,7 +368,7 @@ def order_slice(h: Hypergraph, m: int) -> Hypergraph:
     if m not in h.blocks:
         return Hypergraph(0)
     rows, w = h.blocks[m]
-    return h.restrict(np.unique(rows), {m: (rows, w)})
+    return h.restrict(_sorted_distinct(rows), {m: (rows, w)})
 
 
 @dataclass(frozen=True)
@@ -423,13 +433,13 @@ def _edge_blocks(sizes: np.ndarray, ids: np.ndarray, weight: np.ndarray,
     edge, ids = edge[order], ids[order]
     repeat = np.zeros(len(ids), dtype=bool)
     repeat[1:] = (edge[1:] == edge[:-1]) & (ids[1:] == ids[:-1])
-    repeated = np.unique(edge[repeat])
+    repeated = _sorted_distinct(edge[repeat])
     if not keep_multiplicities:
         edge, ids = edge[~repeat], ids[~repeat]
     size = np.bincount(edge, minlength=len(sizes))
     elem_size = size[edge]
     blocks = {s: merge_rows(ids[elem_size == s].reshape(-1, s), weight[size == s])
-              for s in np.unique(size[size >= 2]).tolist()}
+              for s in _sorted_distinct(size[size >= 2]).tolist()}
     return blocks, size, repeated
 
 
@@ -449,11 +459,11 @@ def preprocess_stream(
     raw = len(sizes)
     blocks, size, repeated = _edge_blocks(sizes, ids, np.ones(raw), keep_multiplicities)
     kept = size >= 2
-    node_ids = np.unique(np.concatenate([r.ravel() for r, _ in blocks.values()])) \
+    node_ids = _sorted_distinct(np.concatenate([r.ravel() for r, _ in blocks.values()])) \
         if blocks else np.zeros(0, dtype=np.int64)
     blocks = {s: (np.searchsorted(node_ids, r), w) for s, (r, w) in blocks.items()}
     h = Hypergraph(len(node_ids), labels=tuple(node_ids.tolist()), blocks=blocks)
-    seen = len(np.unique(ids))
+    seen = len(_sorted_distinct(ids))
     report = PreprocessReport(
         raw_simplices=raw,
         simplices_with_repeats=len(repeated),

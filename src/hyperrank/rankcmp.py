@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .hypergraph import sort_labels
+from .hypergraph import _sorted_distinct, sort_labels
 
 Curve = list[tuple[int, float]]
 
@@ -228,8 +228,8 @@ def topk_curve(a: Sequence[float], b: Sequence[float], ks: Sequence[int]) -> Cur
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DataError("columns must align")
+    if a.shape != b.shape or a.ndim != 1:
+        raise DataError("topk_curve needs two equal-length 1-d score arrays")
     ks = _check_ks(ks, a.size)
     if not ks:
         return []
@@ -270,7 +270,7 @@ def default_ks(n: int) -> list[int]:
     start = min(10, n)
     if n == start:
         return [n]
-    grid = np.unique(np.round(np.geomspace(start, n, num=24)).astype(int)).tolist()
+    grid = _sorted_distinct(np.round(np.geomspace(start, n, num=24)).astype(int)).tolist()
     if grid[-1] != n:
         grid.append(n)
     return grid

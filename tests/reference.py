@@ -388,8 +388,8 @@ def kendall_tau(a, b) -> float:
 def topk_curve(a, b, ks) -> list:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise hr.DataError("columns must align")
+    if a.shape != b.shape or a.ndim != 1:
+        raise hr.DataError("topk_curve needs two equal-length 1-d score arrays")
     ks = list(ks)
     if ks != sorted(ks):
         raise hr.DataError("Ks must be sorted ascending")

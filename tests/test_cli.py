@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -493,6 +497,24 @@ class TestCompare:
                      "--out", str(tmp_path / "ec.csv")]) == 0
         assert len(calls) == 1
 
+    def test_k_above_input_nodes_refused_before_solving(self, tmp_path, capsys):
+        prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
+        code = main(["compare", "--methods", "u2,u3,h2", "--lcc", "--input", prefix,
+                     "--out-dir", str(tmp_path / "out"), "--topk", "3,7"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "data error: K=7 exceeds the 6 nodes of the input\n"
+        assert "running" not in captured.out
+        assert not (tmp_path / "out").exists()
+        # a K that fits the input but not the table is still refused, once
+        # the methods have run: the h2 and h3 slices hold 5 of the 6 nodes
+        code = main(["compare", "--methods", "h2,h3", "--input", prefix,
+                     "--out-dir", str(tmp_path / "out"), "--topk", "3,6"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "data error: K=6 exceeds table size 5\n"
+        assert "running H3" in captured.out
+
     def test_a2_column_identical_to_u2(self, tmp_path):
         prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
         out_dir = tmp_path / "a2u2"
@@ -524,3 +546,41 @@ class TestStats:
         write_dataset(tmp_path, FIG1_NVERTS, FIG1_SIMPLICES)
         out = tmp_path / "stats.csv"
         assert main(["stats", "--input", str(tmp_path), "--out", str(out)]) == 0
+
+
+# Runs every subcommand in one fresh interpreter and prints, as its last line,
+# the exit codes and the modules the runs loaded after `import hyperrank.cli`.
+_MODULE_PROBE = """
+import json, sys
+import hyperrank.cli as cli
+before = set(sys.modules)
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_cli_runs_load_no_numpy_ma(tmp_path):
+    # numpy 2.x imports numpy.ma on the first plain np.unique; numpy 1.x
+    # imports it with numpy, so only what the runs add is checked. The input
+    # has 12 nodes, so that `compare` builds a default K grid, and a
+    # simplex with a repeated id.
+    simplices = [[1, 2], [2, 3, 4], [4, 5], [5, 6, 7], [7, 8], [8, 9, 10, 11],
+                 [11, 12], [3, 12], [1, 6, 9], [9, 9, 10]]
+    prefix = write_dataset(tmp_path, [len(x) for x in simplices],
+                           [v for x in simplices for v in x])
+    common = ["--lcc", "--input", prefix]
+    runs = [["stats", "--input", prefix, "--out", str(tmp_path / "stats.csv")]]
+    for k, method in enumerate([["ec"], ["uphec", "--p", "3"], ["hec", "--order", "3"],
+                                ["alt", "--order", "3"], ["uphec", "--p", "2", "--aux-gauge"]]):
+        runs.append(["centrality", "--method", *method, *common,
+                     "--out", str(tmp_path / f"c{k}.csv")])
+    runs.append(["compare", "--methods", "u2,h3,a3", *common,
+                 "--out-dir", str(tmp_path / "cmp")])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, check=True)
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["codes"] == [0] * len(runs), proc.stderr
+    assert not [m for m in probe["loaded"] if m == "numpy.ma" or m.startswith("numpy.ma.")]

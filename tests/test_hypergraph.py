@@ -3,11 +3,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hyperrank as hr
-from hyperrank.hypergraph import component_roots
+from hyperrank.hypergraph import _sorted_distinct, component_roots
 from oracles import random_hypergraph
 
 
@@ -220,6 +221,25 @@ class TestConstruction:
         h = hr.Hypergraph.from_edge_list(edges)
         assert all(0 <= v < h.n for e in h.edges for v in e.nodes)
         assert len(h.labels) == h.n
+
+
+INT64 = np.iinfo(np.int64)
+
+
+class TestSortedDistinct:
+    @given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+                      elements=st.one_of(st.integers(-3, 3),
+                                         st.sampled_from([INT64.min, INT64.max]),
+                                         st.integers(INT64.min, INT64.max))))
+    @example(np.zeros(0, dtype=np.int64))
+    @example(np.zeros((2, 0, 3), dtype=np.int64))
+    @example(np.full((3, 2), 7, dtype=np.int64))
+    @example(np.array(INT64.min))
+    @example(np.array([[INT64.max, INT64.min], [INT64.max, 0]]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_np_unique(self, a):
+        got, want = _sorted_distinct(a), np.unique(a)
+        assert (got.dtype, got.shape, got.tolist()) == (want.dtype, want.shape, want.tolist())
 
 
 class TestPreprocess:

@@ -265,6 +265,18 @@ class TestPreprocessMatchesReference:
         assert report.as_dict() == want
         assert h.labels == labels
         assert {e.support: e.weight for e in h.edges} == edges
+        # the stream form on the raw ids, whose labels are the ids themselves:
+        # same report, and each block's rows are the reference edges spelled
+        # out (a node of multiplicity c c times) in lexicographic order
+        rows = {}
+        for support, w in edges.items():
+            row = [v for v, c in support for _ in range(c)]
+            rows.setdefault(len(row), []).append((row, w))
+        hs, rs = hr.preprocess_stream([len(x) for x in simplices],
+                                      [v for x in simplices for v in x], keep)
+        want_blocks = {s: tuple(map(list, zip(*sorted(r)))) for s, r in rows.items()}
+        got_blocks = {s: (r.tolist(), w.tolist()) for s, (r, w) in hs.blocks.items()}
+        assert (rs, hs.labels, got_blocks) == (report, labels, want_blocks)
 
     @given(st.lists(st.lists(st.one_of(st.integers(0, 6), st.sampled_from("ab")),
                              min_size=1, max_size=5), max_size=12),

@@ -190,6 +190,15 @@ class TestTopKCurve:
         with pytest.raises(hr.DataError):
             hr.topk_curve([1.0, 2.0], [1.0, 2.0], [3])
 
+    @pytest.mark.parametrize("a, b", [
+        ([[1, 2], [3, 4]], [[1, 2], [3, 4]]),
+        (5.0, 5.0),
+        ([1.0, 2.0], [1.0, 2.0, 3.0]),
+    ])
+    def test_rejects_columns_that_are_not_equal_1d(self, a, b):
+        with pytest.raises(hr.DataError, match="equal-length 1-d"):
+            hr.topk_curve(a, b, [2])
+
 
 def _same(x, y):
     return x == y or (math.isnan(x) and math.isnan(y))

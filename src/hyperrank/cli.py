@@ -124,7 +124,7 @@ def _relabel(h: Hypergraph, mapping: dict[int, str]) -> Hypergraph:
     seen: set = set()
     for lab in h.labels:
         name = mapping.get(lab, lab)
-        if name in seen:
+        while name in seen:
             name = f"{name} ({lab})"
         seen.add(name)
         new.append(name)
@@ -348,6 +348,8 @@ def cmd_compare(args) -> int:
     if ks and ks[-1] > h.n:
         raise DataError(f"K={ks[-1]} exceeds the {h.n} nodes of the input")
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable path fails before any solve
     scores: dict[str, dict] = {}
     for method, order, name in runs:
         print(f"running {name} ...")
@@ -362,9 +364,6 @@ def cmd_compare(args) -> int:
         ks = default_ks(len(table.labels))
     heat, curves = heatmap_and_curves(table, ks)
     filtered = curve_filter(curves)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_heatmap_csv(out_dir / "heatmap.csv", table, heat)
     write_curves_csv(out_dir / "topk_curves.csv", curves)
     write_curves_csv(out_dir / "topk_curves_filtered.csv", filtered)
@@ -467,8 +466,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except (DataError, OSError) as exc:  # OSError: mostly an unwritable output path,
+        print(f"data error: {exc}", file=sys.stderr)  # as `_read_text` reads inputs
         return 2
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)

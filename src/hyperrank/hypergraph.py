@@ -454,7 +454,7 @@ def preprocess_stream(
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     ids = np.asarray(ids, dtype=np.int64)
-    if int(sizes.sum()) != len(ids) or (sizes < 0).any():
+    if sum(sizes.tolist()) != len(ids) or (sizes < 0).any():  # Python ints: no wrap
         raise DataError("simplex sizes do not match the id stream")
     raw = len(sizes)
     blocks, size, repeated = _edge_blocks(sizes, ids, np.ones(raw), keep_multiplicities)

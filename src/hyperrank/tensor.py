@@ -4,16 +4,14 @@ dense materialization oracle for verification.
 
 A `UniformTensor` wraps the uniform `Hypergraph` it is built from, which has
 already checked every row and weight; the tensor is weakly irreducible exactly
-when that hypergraph is connected. For `apply`, the hypergraph's rows are
-split into blocks of entries that share one multiplicity pattern. Row e of a
-block lists the distinct nodes of one entry's support, every row shares the
-per-column multiplicities, and the entry's value is the row's weight. The
-represented array has that value at every index tuple whose multiset of
-indices equals the support, so an uplifted edge costs one row with its
-auxiliary node as one more column. The read-only `UniformTensor.entries` view
-lists the (support, value) pairs on demand for `flattening_matrix` and
-`dense_oracle`, which exist for cross-checking on small instances; nothing is
-densified in production paths.
+when that hypergraph is connected. Each row adds its weight to the entry
+whose support is the row's multiset of nodes. The represented array has an
+entry's value at every index tuple whose multiset of indices equals its
+support, so an uplifted edge costs one row with its auxiliary node as
+one more column. `apply` groups the rows by multiplicity pattern on first
+use. The read-only `UniformTensor.entries` view lists the (support, value)
+pairs on demand for `flattening_matrix` and `dense_oracle`, which exist for
+cross-checking on small instances; nothing is densified in production paths.
 
 The aux gauge is not a tensor of its own but `_GaugedTensor`, a view whose
 `apply` rescales the base contraction.
@@ -24,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -85,35 +83,6 @@ def _as_array(x: ArrayLike, n: int) -> np.ndarray:
     return arr
 
 
-class Block(NamedTuple):
-    """Tensor entries sharing one multiplicity pattern: entry e has support
-    {(rows[e, j], mult[j])} (distinct nodes) and value weight[e]."""
-
-    rows: np.ndarray
-    weight: np.ndarray
-    mult: tuple[int, ...]
-
-
-def split_patterns(rows: np.ndarray, weight: np.ndarray) -> list[Block]:
-    """Blocks for an (E, s) array of ascending rows with repetition, one per
-    run-length pattern of the rows, in pattern order; rows keep their order
-    within a block."""
-    starts = np.ones(rows.shape, dtype=bool)
-    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    if starts.all():
-        return [Block(rows, weight, (1,) * rows.shape[1])]
-    order = np.lexsort(starts.T[::-1])  # stable: rows keep their order per pattern
-    starts = starts[order]
-    first = np.flatnonzero(np.r_[True, (starts[1:] != starts[:-1]).any(axis=1)])
-    out = []
-    for a, b in zip(first, np.r_[first[1:], len(order)]):
-        cols = np.flatnonzero(starts[a])
-        mult = tuple(np.diff(np.r_[cols, rows.shape[1]]).tolist())
-        sel = order[a:b]
-        out.append(Block(rows[sel][:, cols], weight[sel], mult))
-    return out
-
-
 def _arrangements(order: int, mults: tuple[int, ...], k: int) -> int:
     """Orderings of the other order-1 indices of a support with one index
     of multiplicity mults[k] fixed in front."""
@@ -132,8 +101,8 @@ def _check_max_order(order: int) -> None:
 
 class UniformTensor:
     """Adjacency tensor of a uniform hypergraph h, kept as `hypergraph`:
-    order h.max_size on `dim = h.n` indices, held as `Block`s. Auxiliary
-    nodes are ordinary indices; duplicate supports merge additively.
+    order h.max_size on `dim = h.n` indices. Auxiliary nodes are ordinary
+    indices; duplicate supports merge additively.
     """
 
     def __init__(self, h: Hypergraph):
@@ -148,46 +117,54 @@ class UniformTensor:
         self.hypergraph = h
         self.order = h.max_size
         self.dim = h.n
-        self.blocks = tuple(split_patterns(*h.blocks[h.max_size]))
 
     @cached_property
     def entries(self) -> tuple[tuple[Support, float], ...]:
-        """(support, value) pairs, one per distinct support, sorted."""
+        """(support, value) pairs, one per distinct support, sorted; the
+        weights of equal supports sum in edge order."""
         merged: dict[Support, float] = {}
-        for b in self.blocks:
-            for row, w in zip(b.rows.tolist(), b.weight.tolist()):
-                support = tuple(zip(row, b.mult))
-                merged[support] = merged.get(support, 0.0) + w
-        return tuple(sorted(merged.items()))
+        for e in self.hypergraph.edges:
+            merged[e.support] = merged.get(e.support, 0.0) + e.weight
+        return tuple(merged.items())
 
     @cached_property
     def _apply_arrays(self):
-        """(lead, kernels): lead lists the node of every (entry, support
-        node) row, block by block, so its length is the row count.
+        """(lead, kernels): the hypergraph's rows grouped by multiplicity
+        pattern, in pattern order, each group's rows in their order. lead
+        lists the node of every (row, distinct node) cell, group by group,
+        so its length is the cell count.
 
-        One kernel per block: its rows; their flattened indices (a view of
-        `lead`); value times arrangement count for every (row, column) cell;
-        and, per column j, the factor sequence of its leave-one-out product:
-        j repeated mult_j - 1 times, then every other column l repeated
-        mult_l times, in support order.
+        One kernel per pattern: its rows cut to their distinct nodes; their
+        flattened cells (a view of `lead`); weight times arrangement count
+        for every cell; and, per column j, the factor sequence of its
+        leave-one-out product: j repeated mult_j - 1 times, then every other
+        column l repeated mult_l times, in support order.
         """
         m = self.order
-        lead = np.concatenate([b.rows.ravel() for b in self.blocks]) \
-            if self.blocks else np.zeros(0, dtype=np.int64)
-        kernels = []
-        start = 0
-        for b in self.blocks:
-            mults = b.mult
+        rows, weight = self.hypergraph.blocks[m]
+        starts = np.ones(rows.shape, dtype=bool)
+        starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+        if starts.all():  # one all-distinct pattern: the rows as they are
+            groups = [(rows, weight, starts[0])]
+        else:  # a stable sort keeps each pattern's rows in their order; numpy
+            # cuts them column-major, which keeps `apply`'s column products fast
+            order = np.lexsort(starts.T[::-1])
+            starts = starts[order]
+            first = np.flatnonzero(np.r_[True, (starts[1:] != starts[:-1]).any(axis=1)])
+            groups = [(rows[sel][:, starts[a]], weight[sel], starts[a])
+                      for a, sel in zip(first, np.split(order, first[1:]))]
+        lead = np.concatenate([r.ravel() for r, _, _ in groups])
+        kernels, stop = [], 0
+        for r, w, distinct in groups:
+            mults = tuple(np.diff(np.r_[np.flatnonzero(distinct), m]).tolist())
             counts = np.array([_arrangements(m, mults, j) for j in range(len(mults))],
                               dtype=float)
             sequences = tuple(
                 (j,) * (mults[j] - 1)
                 + tuple(l for l, c in enumerate(mults) if l != j for _ in range(c))
                 for j in range(len(mults)))
-            stop = start + b.rows.size
-            kernels.append((b.rows, lead[start:stop], b.weight[:, None] * counts,
-                            sequences))
-            start = stop
+            start, stop = stop, stop + r.size
+            kernels.append((r, lead[start:stop], w[:, None] * counts, sequences))
         return lead, tuple(kernels)
 
 
@@ -250,8 +227,8 @@ def apply(t: UniformTensor, x: ArrayLike) -> np.ndarray:
     Returns y with y_i = sum over index tuples starting at i of the tensor
     component times the product of the x components at the remaining indices.
     Accepts signed input; equals the dense contraction exactly up to float
-    rounding of a block-ordered reduction (deterministic). Per block this is
-    one gather, the leave-one-out products of each column (multiplied in
+    rounding of a pattern-ordered reduction (deterministic). Per pattern this
+    is one gather, the leave-one-out products of each column (multiplied in
     support order, so nodes in symmetric positions get bit-identical terms)
     and one bincount.
 

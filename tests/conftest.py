@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,14 @@ import pytest
 import hyperrank as hr
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def child_env() -> dict:
+    """The environment for a child interpreter that imports this checkout's
+    `hyperrank`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # Printed reference rows for the 6-node worked example (labels 1..6), one per

@@ -1,17 +1,15 @@
 import csv
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import hyperrank as hr
 import reference
 from hyperrank.cli import ingest_simplicial, main
-from conftest import TABLE_ROWS
+from conftest import TABLE_ROWS, child_env
 
 
 def write_dataset(tmp_path, nverts, simplices, labels=None, prefix="toy"):
@@ -90,6 +88,16 @@ class TestIngest:
                                  f"{prefix}-simplices.txt",
                                  f"{prefix}-node-labels.txt")
         assert set(h.labels) == {"ubuntu", "grub"}
+
+    def test_relabelled_names_stay_distinct(self, tmp_path, capsys):
+        # id 3 is labelled "a" like id 1, and "a (3)" is already id 2's label
+        prefix = write_dataset(tmp_path, [2, 2], [1, 2, 2, 3],
+                               labels=[(1, "a"), (2, "a (3)"), (3, "a")])
+        h, _ = ingest_simplicial(f"{prefix}-nverts.txt", f"{prefix}-simplices.txt",
+                                 f"{prefix}-node-labels.txt")
+        assert h.labels == ("a", "a (3)", "a (3) (3)")
+        assert main(["centrality", "--method", "ec", "--input", prefix,
+                     "--out", str(tmp_path / "ec.csv")]) == 0, capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -258,6 +266,21 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o.csv")])
             assert code == 2, stored
             assert key in capsys.readouterr().err, stored
+
+    @pytest.mark.parametrize("command, out, named", [
+        (["centrality", "--method", "ec", "--lcc", "--out"], ".", "."),
+        (["stats", "--out"], "taken/x.csv", "taken"),
+        (["compare", "--methods", "u2,h2", "--out-dir"], "taken", "taken"),
+    ])
+    def test_unwritable_output_is_data_error(self, tmp_path, capsys, command, out, named):
+        prefix = write_dataset(tmp_path, FIG1_NVERTS, FIG1_SIMPLICES)
+        (tmp_path / "taken").write_text("")
+        assert main([command[0], "--input", prefix, *command[1:], str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error: [Errno ")
+        assert captured.err.endswith(f": '{tmp_path / named}'\n")
+        assert captured.err.count("\n") == 1
+        assert "running" not in captured.out  # compare checks its directory first
 
     def test_missing_dataset(self, tmp_path):
         code = main(["stats", "--input", str(tmp_path / "nope"),
@@ -576,11 +599,8 @@ def test_cli_runs_load_no_numpy_ma(tmp_path):
                      "--out", str(tmp_path / f"c{k}.csv")])
     runs.append(["compare", "--methods", "u2,h3,a3", *common,
                  "--out-dir", str(tmp_path / "cmp")])
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(runs)],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=child_env(), capture_output=True, text=True, check=True)
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["codes"] == [0] * len(runs), proc.stderr
     assert not [m for m in probe["loaded"] if m == "numpy.ma" or m.startswith("numpy.ma.")]

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import hyperrank as hr
 from hyperrank.hypergraph import _sorted_distinct, component_roots
+from conftest import child_env
 from oracles import random_hypergraph
 
 
@@ -258,3 +261,18 @@ class TestPreprocess:
         h, report = hr.build_preprocessed([[1, 2, 5, 5]], keep_multiplicities=True)
         assert h.edges[0].size == 4
         assert report.simplices_with_repeats == 1
+
+    def test_size_stream_whose_int64_sum_wraps_is_refused(self):
+        # four sizes near 2**62 sum to 3 in int64; trusted, that count made
+        # the ingest kernel write past its buffer and crash the interpreter,
+        # so the call runs in a child process
+        code = ("import numpy as np, hyperrank as hr\n"
+                "try:\n"
+                "    hr.preprocess_stream(np.array([2**62, 2**62, 2**62, 2**62 + 3]),\n"
+                "                         np.array([1, 2, 3]))\n"
+                "except hr.DataError as exc:\n"
+                "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "simplex sizes do not match the id stream\n"

@@ -31,6 +31,13 @@ class TestFromHypergraph:
         t = hr.from_hypergraph(h)
         assert t.entries == ((((0, 1), (1, 1)), 3.0),)
 
+    def test_duplicate_supports_sum_in_edge_order(self):
+        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 round differently
+        for weights, want in [([0.1, 0.2, 0.3], 0.6000000000000001),
+                              ([0.3, 0.2, 0.1], 0.6)]:
+            h = hr.Hypergraph(2, blocks={2: ([[0, 1]] * 3, weights)})
+            assert hr.from_hypergraph(h).entries == ((((0, 1), (1, 1)), want),)
+
     def test_rejects_non_uniform(self, fig1):
         with pytest.raises(hr.DataError):
             hr.from_hypergraph(fig1)

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from pathlib import Path
 from types import NoneType
 from typing import Optional
@@ -26,6 +27,7 @@ from .errors import ConvergenceError, DataError, HyperrankError, UsageError
 from .hypergraph import (
     Hypergraph,
     PreprocessReport,
+    _stream_total,
     largest_connected_component,
     order_slice,
     preprocess_stream,
@@ -86,6 +88,32 @@ def _read_text(path: Path) -> str:
 
 
 def _read_int_stream(path: Path) -> np.ndarray:
+    """The whitespace-separated int64 tokens of the file at `path`, in order.
+
+    numpy's C parser reads a file of equal-length lines of plain decimal
+    integers. Anything it refuses or warns about (no tokens, lines of
+    differing length, a token such as `1_000` that Python's `int` takes, a
+    token that is no integer at all, an unreadable file) goes to
+    `_scan_int_stream`. numpy opens a file by its name and would read a
+    compressed suffix decompressed, or a missing file's compressed namesake,
+    so those go to the scan too.
+    """
+    if path.is_file() and path.suffix not in (".gz", ".bz2", ".xz", ".lzma"):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ids = np.loadtxt(path, dtype=np.int64, ndmin=1, comments=None,
+                                 encoding="utf-8").ravel()
+            if len(ids):
+                return ids
+        except (ValueError, OSError, Warning):  # UnicodeDecodeError is a ValueError
+            pass
+    return _scan_int_stream(path)
+
+
+def _scan_int_stream(path: Path) -> np.ndarray:
+    """`_read_int_stream` one Python token at a time: it takes what `int`
+    takes and names the first token it refuses."""
     tokens = _read_text(path).split()
     if not tokens:
         raise DataError(f"empty file: {path}")
@@ -140,7 +168,7 @@ def ingest_simplicial(
     """Decode the simplicial stream pair and run the preprocessing pipeline."""
     nverts = _read_int_stream(Path(nverts_path))
     flat = _read_int_stream(Path(simplices_path))
-    total = sum(nverts.tolist())  # Python ints: no int64 overflow
+    total = _stream_total(nverts)
     if total != len(flat):
         raise DataError(
             f"count mismatch: nverts sums to {total} but the simplex "
@@ -209,6 +237,17 @@ def _write_manifest(path: Path, payload: dict) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+
+
+def _check_writable(path: Path) -> None:
+    """Raise the `OSError` that writing `path` would raise, before any work is
+    done; its directory is created, and a file this check creates is removed."""
+    existed = path.exists()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("a", encoding="utf-8"):
+        pass
+    if not existed:
+        path.unlink()
 
 
 def _params(args) -> dict:
@@ -295,13 +334,16 @@ def cmd_centrality(args) -> int:
         _restore(args, Path(args.from_manifest))
     order = _method_order(args)
     opts = _options(args)
+    out = Path(args.out)
+    manifest_path = Path(args.manifest or f"{out}.manifest.json")
+    for path in (out, manifest_path):  # an unusable path fails before ingest
+        _check_writable(path)
     h, report = _ingest(args.input, keep_multiplicities=args.method == "zec-uplift")
     scores, meta = _solve(h, args.method, order, args, opts, args.lcc)
-    out = Path(args.out)
     _write_scores_csv(out, scores.items())
     manifest = {"command": "centrality", **_params(args), "normalization": "l1",
                 "preprocessing": report, "result": meta, "output": str(out)}
-    _write_manifest(Path(args.manifest or f"{out}.manifest.json"), manifest)
+    _write_manifest(manifest_path, manifest)
     if not meta["converged"]:
         print("error: solver did not converge within max_iter", file=sys.stderr)
         return 3

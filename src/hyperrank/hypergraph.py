@@ -121,16 +121,29 @@ class AuxSpec:
 
 def merge_rows(rows: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort the rows of an (E, s) array lexicographically and merge equal rows
-    by summing their weights (in input order, so the result is deterministic)."""
+    by summing their weights (in input order, so the result is deterministic).
+
+    Rows of nonnegative ids whose bit length b has b * s <= 63 sort as one
+    packed int64 key each under a stable argsort; others under a stable
+    lexsort. Both give the same order."""
     if len(rows) < 2:
         return rows, weight
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
+    bits = int(rows.max()).bit_length()
+    if rows.min() >= 0 and bits * rows.shape[1] <= 63:
+        key = rows[:, 0].copy()
+        for j in range(1, rows.shape[1]):
+            key <<= bits
+            key |= rows[:, j]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+    else:
+        order = np.lexsort(rows.T[::-1])
+        key = rows[order]
     first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    first[1:] = (key[1:] != key[:-1]).reshape(len(rows) - 1, -1).any(axis=1)
     if first.all():
-        return rows, weight[order]
-    return rows[first], np.bincount(np.cumsum(first) - 1, weights=weight[order])
+        return rows[order], weight[order]
+    return rows[order[first]], np.bincount(np.cumsum(first) - 1, weights=weight[order])
 
 
 def _frozen(a, dtype) -> np.ndarray:
@@ -422,25 +435,92 @@ class PreprocessReport:
         return dict(self.__dict__)
 
 
+def _stream_total(sizes: np.ndarray) -> int:
+    """The exact sum of the int64 array `sizes`: numpy's when no partial sum
+    can leave int64, Python ints' otherwise."""
+    if not len(sizes):
+        return 0
+    if len(sizes) * max(-int(sizes.min()), int(sizes.max())) <= np.iinfo(np.int64).max:
+        return int(sizes.sum())
+    return sum(sizes.tolist())
+
+
+def _size_groups(sizes: np.ndarray, ids: np.ndarray):
+    """Entry k of `sizes` holds the next `sizes[k]` ids of `ids`. Yields each
+    distinct size s, largest first, with the entries of that size, ascending,
+    and their ids as an (E_s, s) array."""
+    if not len(sizes):
+        return
+    by_size = np.argsort(sizes, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    for entries in reversed(np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1)):
+        s = int(sizes[entries[0]])
+        yield s, entries, ids[starts[entries, None] + np.arange(s)]
+
+
+def _merged(chunks: list, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`merge_rows` over the (edges, rows) chunks of one size, in edge order."""
+    edges, rows = (np.concatenate(a) for a in zip(*chunks))
+    if len(chunks) > 1:
+        order = np.argsort(edges, kind="stable")
+        edges, rows = edges[order], rows[order]
+    return merge_rows(rows, weight[edges])
+
+
 def _edge_blocks(sizes: np.ndarray, ids: np.ndarray, weight: np.ndarray,
                  keep_multiplicities: bool) -> tuple[Blocks, np.ndarray, np.ndarray]:
     """The ingest kernel: edge k holds the next `sizes[k]` ids and weighs
     `weight[k]`. Edges are sorted and lose repeated ids unless asked to keep
     them. Returns each size s >= 2's edges as a block merged by `merge_rows`,
-    every edge's size after that, and the edges that held a repeated id."""
-    edge = np.repeat(np.arange(len(sizes)), sizes)
-    order = np.lexsort((ids, edge))
-    edge, ids = edge[order], ids[order]
-    repeat = np.zeros(len(ids), dtype=bool)
-    repeat[1:] = (edge[1:] == edge[:-1]) & (ids[1:] == ids[:-1])
-    repeated = _sorted_distinct(edge[repeat])
-    if not keep_multiplicities:
-        edge, ids = edge[~repeat], ids[~repeat]
-    size = np.bincount(edge, minlength=len(sizes))
-    elem_size = size[edge]
-    blocks = {s: merge_rows(ids[elem_size == s].reshape(-1, s), weight[size == s])
-              for s in _sorted_distinct(size[size >= 2]).tolist()}
-    return blocks, size, repeated
+    every edge's size after that, and the edges that held a repeated id.
+
+    Each size's edges are sorted as the rows of one array, largest size first.
+    Only the rows that repeat an id are collapsed, into smaller sizes still to
+    come; a size that receives collapsed rows is put back in edge order, so
+    equal rows merge in input order."""
+    size = sizes.copy()
+    blocks, repeated = {}, []
+    collapsed: dict[int, list] = {}  # size -> (edges, rows) chunks it receives
+    for s, edges, rows in _size_groups(sizes, ids):
+        rows.sort(axis=1)
+        new = rows[:, 1:] != rows[:, :-1]
+        repeat = ~new.all(axis=1)
+        if repeat.any():
+            gone = edges[repeat]
+            repeated.append(gone)
+            if not keep_multiplicities:
+                first = np.hstack([np.ones((len(gone), 1), dtype=bool), new[repeat]])
+                size[gone] = first.sum(axis=1)
+                for c, k, crows in _size_groups(size[gone], rows[repeat][first]):
+                    collapsed.setdefault(c, []).append((gone[k], crows))
+                edges, rows = edges[~repeat], rows[~repeat]
+        chunks = [(edges, rows), *collapsed.pop(s, [])]
+        if s >= 2 and sum(len(e) for e, _ in chunks):
+            blocks[s] = _merged(chunks, weight)
+    for s, chunks in collapsed.items():  # sizes only collapsed rows reach
+        if s >= 2:
+            blocks[s] = _merged(chunks, weight)
+    repeated = np.sort(np.concatenate(repeated)) if repeated else np.zeros(0, np.int64)
+    return dict(sorted(blocks.items())), size, repeated
+
+
+def _dense_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the int64 array `ids`, ascending, and the index
+    of each id among them. Ids spanning at most twice their count map through
+    a lookup table, others through one sort."""
+    if not len(ids):
+        return ids, ids
+    lo = int(ids.min())
+    span = int(ids.max()) - lo + 1
+    if span <= 2 * len(ids):
+        offset = ids - lo
+        seen = np.zeros(span, dtype=bool)
+        seen[offset] = True
+        index = np.cumsum(seen)
+        index -= 1
+        return np.flatnonzero(seen) + lo, index[offset]
+    distinct = _sorted_distinct(ids)
+    return distinct, np.searchsorted(distinct, ids)
 
 
 def preprocess_stream(
@@ -454,16 +534,20 @@ def preprocess_stream(
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     ids = np.asarray(ids, dtype=np.int64)
-    if sum(sizes.tolist()) != len(ids) or (sizes < 0).any():  # Python ints: no wrap
+    if (sizes < 0).any() or _stream_total(sizes) != len(ids):
         raise DataError("simplex sizes do not match the id stream")
     raw = len(sizes)
-    blocks, size, repeated = _edge_blocks(sizes, ids, np.ones(raw), keep_multiplicities)
+    node_ids, index = _dense_ids(ids)
+    blocks, size, repeated = _edge_blocks(sizes, index, np.ones(raw), keep_multiplicities)
     kept = size >= 2
-    node_ids = _sorted_distinct(np.concatenate([r.ravel() for r, _ in blocks.values()])) \
-        if blocks else np.zeros(0, dtype=np.int64)
-    blocks = {s: (np.searchsorted(node_ids, r), w) for s, (r, w) in blocks.items()}
-    h = Hypergraph(len(node_ids), labels=tuple(node_ids.tolist()), blocks=blocks)
-    seen = len(_sorted_distinct(ids))
+    used = np.zeros(len(node_ids), dtype=bool)
+    for rows, _ in blocks.values():
+        used[rows] = True
+    dense = np.cumsum(used)
+    dense -= 1
+    blocks = {s: (dense[r], w) for s, (r, w) in blocks.items()}
+    h = Hypergraph(int(used.sum()), labels=tuple(node_ids[used].tolist()), blocks=blocks)
+    seen = len(node_ids)
     report = PreprocessReport(
         raw_simplices=raw,
         simplices_with_repeats=len(repeated),

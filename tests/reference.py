@@ -6,8 +6,9 @@ tensor is a sorted tuple of (support, value) entries, `apply` expands every
 (entry, node) pair into a row of m-1 indices, and the uplift detection and
 Z-eigenpair scan edge by edge. They read hypergraphs through the
 `Hypergraph.edges` view only, and build them through `hypergraph` below, so
-they share no code with the kernels under test, apart from `merge_rows` in
-the `from_edge_list` loop. The rank sweep at the end is the one-pair-at-a-time
+they share no code with the kernels under test; `merge_rows` here is the
+plain lexsort merge that the package packs into one key where it can. The
+rank sweep at the end is the one-pair-at-a-time
 form of the batched sweep in `rankcmp`; it shares only `_tau_b`, the scalar
 formula, with it.
 """
@@ -25,12 +26,48 @@ from scipy.sparse.csgraph import connected_components
 
 import hyperrank as hr
 from hyperrank.hypergraph import (_check_weights, _distinct_labels, _fresh_label,
-                                  _label_sort_key, merge_rows, sort_labels)
+                                  _label_sort_key, sort_labels)
 from hyperrank.rankcmp import _tau_b
 from hyperrank.uniformize import _alpha, _compositions, star_factor
 
 
 # ---- ingestion ---------------------------------------------------------
+
+def merge_rows(rows, weight):
+    """`hypergraph.merge_rows` as a stable lexsort on the columns: equal rows
+    merge by summing their weights in input order."""
+    if len(rows) < 2:
+        return rows, weight
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    if first.all():
+        return rows, weight[order]
+    return rows[first], np.bincount(np.cumsum(first) - 1, weights=weight[order])
+
+
+def edge_blocks(sizes, ids, weight, keep_multiplicities):
+    """`hypergraph._edge_blocks` as a loop over the edges: each sorted, its
+    repeats collapsed unless kept, grouped by size and each size merged."""
+    groups: dict[int, tuple[list, list]] = {}
+    size, repeated, pos = [], [], 0
+    for k, (s, w) in enumerate(zip(sizes.tolist(), weight.tolist())):
+        row = sorted(ids[pos:pos + s].tolist())
+        pos += s
+        if len(set(row)) < len(row):
+            repeated.append(k)
+            if not keep_multiplicities:
+                row = sorted(set(row))
+        size.append(len(row))
+        if len(row) >= 2:
+            rows, ws = groups.setdefault(len(row), ([], []))
+            rows.append(row)
+            ws.append(w)
+    blocks = {s: merge_rows(np.array(rows, dtype=np.int64), np.array(ws))
+              for s, (rows, ws) in sorted(groups.items())}
+    return blocks, np.array(size, dtype=np.int64), np.array(repeated, dtype=np.int64)
+
 
 def build_preprocessed(simplices, keep_multiplicities=False):
     """(labels, {support: weight}, report counts) of the old ingest."""
@@ -97,8 +134,10 @@ def from_edge_list(edge_lists, weights=None, nodes=(), keep_multiplicities=False
         rows, ws = groups.setdefault(len(row), ([], []))
         rows.append(row)
         ws.append(w)
-    blocks = {s: merge_rows(np.array(rows, dtype=np.int64).reshape(len(rows), s),
-                            np.array(ws))
+    if min(groups, default=2) < 2:
+        raise hr.DataError(f"a hyperedge needs at least 2 nodes, got a "
+                           f"size-{min(groups)} edge")
+    blocks = {s: merge_rows(np.array(rows, dtype=np.int64), np.array(ws))
               for s, (rows, ws) in groups.items()}
     return hr.Hypergraph(len(labels), labels, blocks=blocks)
 

@@ -1,14 +1,21 @@
 import csv
+import gzip
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hyperrank as hr
 import reference
-from hyperrank.cli import ingest_simplicial, main
+from hyperrank.cli import _read_int_stream, _scan_int_stream, ingest_simplicial, main
 from conftest import TABLE_ROWS, child_env
 
 
@@ -98,6 +105,86 @@ class TestIngest:
         assert h.labels == ("a", "a (3)", "a (3) (3)")
         assert main(["centrality", "--method", "ec", "--input", prefix,
                      "--out", str(tmp_path / "ec.csv")]) == 0, capsys.readouterr().err
+
+
+INT64 = np.iinfo(np.int64)
+# tokens numpy's parser takes, and tokens only Python's `int` takes (`1_000`,
+# non-ASCII digits) or nothing takes
+PLAIN_TOKENS = ["0", "7", "42", "+3", "-3", "-0", "007", str(INT64.max), str(INT64.min)]
+ODD_TOKENS = ["1_000", "\u0663", "1.0", "0x10", "#5", "x", str(INT64.max + 1),
+              str(INT64.min - 1)]
+GAPS = [" ", "\t", "\f", "  ", " \t "]
+LINE_ENDS = ["\n", "\r\n", "\r", "\n\n", "\n \t\n"]
+
+
+@st.composite
+def id_files(draw):
+    """The bytes of an id file: lines of tokens, all of one length or ragged,
+    with mixed gaps, line ends and blank lines; half the files may hold odd
+    tokens and start with a BOM."""
+    odd = draw(st.booleans())
+    width = draw(st.integers(0, 3))
+    lengths = st.integers(0, 4) if draw(st.booleans()) else st.just(width)
+    text = "\ufeff" if odd and draw(st.booleans()) else ""
+    for _ in range(draw(st.integers(0, 5))):
+        k = draw(lengths)
+        tokens = draw(st.lists(st.sampled_from(PLAIN_TOKENS + ODD_TOKENS * odd),
+                               min_size=k, max_size=k))
+        gaps = draw(st.lists(st.sampled_from(GAPS), min_size=len(tokens) + 1,
+                             max_size=len(tokens) + 1))
+        text += gaps[0] * draw(st.booleans()) + "".join(map(str.__add__, tokens, gaps[1:]))
+        text += draw(st.sampled_from(LINE_ENDS))
+    return text.encode("utf-8")
+
+
+def parsed(read, path):
+    """What `read` makes of the file at `path`: the array or the refusal."""
+    try:
+        ids = read(path)
+    except hr.DataError as exc:
+        return str(exc)
+    return ids.dtype.str, ids.shape, ids.tolist()
+
+
+class TestReadIntStream:
+    # the examples are the parse refusals of `test_malformed_streams_report_data_error`
+    @given(id_files())
+    @example(b"1 x\n")
+    @example(b"1 99999999999999999999\n")
+    @example(b"")
+    @example(b"2\n\xff\n")
+    @example(b"1 \xff2\n")
+    @settings(max_examples=300, deadline=None)
+    def test_parser_matches_token_scan(self, data):
+        # numpy's parser and the token scan give the same ids or the same
+        # refusal: the parser takes only what the scan reads the same way
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ids.txt"
+            path.write_bytes(data)
+            assert parsed(_read_int_stream, path) == parsed(_scan_int_stream, path)
+
+    def test_parser_warning_sends_file_to_scan(self, tmp_path, monkeypatch):
+        # numpy 1.x parses "1.0" as an integer with a DeprecationWarning; a
+        # warning from the parser sends the file to the scan, which refuses it
+        path = tmp_path / "ids.txt"
+        path.write_text("1 1.0\n")
+
+        def loadtxt(*args, **kwargs):
+            warnings.warn("parsing an integer via a float is deprecated",
+                          DeprecationWarning)
+            return np.array([1, 1])
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        with pytest.raises(hr.DataError, match="non-integer token '1.0'"):
+            _read_int_stream(path)
+
+    def test_compressed_names_are_not_decompressed(self, tmp_path):
+        # numpy opens `.gz` names, and a missing file's `.gz` namesake, as
+        # gzip streams; the ids file is read as the text it holds
+        (tmp_path / "ids.txt.gz").write_bytes(gzip.compress(b"1 2\n"))
+        for name in ("ids.txt.gz", "ids.txt"):
+            with pytest.raises(hr.DataError, match="cannot read"):
+                _read_int_stream(tmp_path / name)
 
 
 class TestExitCodes:
@@ -281,6 +368,19 @@ class TestExitCodes:
         assert captured.err.endswith(f": '{tmp_path / named}'\n")
         assert captured.err.count("\n") == 1
         assert "running" not in captured.out  # compare checks its directory first
+
+    @pytest.mark.parametrize("option", ["--out", "--manifest"])
+    def test_centrality_refuses_unwritable_output_before_ingest(self, tmp_path, capsys,
+                                                                option):
+        prefix = write_dataset(tmp_path, FIG1_NVERTS, FIG1_SIMPLICES)
+        out = tmp_path / "o.csv"
+        paths = {"--out": str(out), option: str(tmp_path)}  # a directory
+        argv = ["centrality", "--method", "ec", "--input", prefix]
+        assert main([*argv, *(a for kv in paths.items() for a in kv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert "ingested" not in captured.out
+        assert not out.exists()
 
     def test_missing_dataset(self, tmp_path):
         code = main(["stats", "--input", str(tmp_path / "nope"),

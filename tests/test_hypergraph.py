@@ -262,6 +262,22 @@ class TestPreprocess:
         assert h.edges[0].size == 4
         assert report.simplices_with_repeats == 1
 
+    @given(st.lists(st.lists(st.integers(0, 9), max_size=5), min_size=1, max_size=15),
+           st.booleans(), st.sampled_from([1, 3, 2**40]), st.integers(-2**62, 2**61))
+    @settings(max_examples=150, deadline=None)
+    def test_stream_ids_map_by_table_or_by_sort(self, simplices, keep, step, shift):
+        # ids 0..9 moved to `step * id + shift`: a narrow span maps through the
+        # lookup table, a wide one through a sort; the same blocks and report,
+        # and the labels move with the ids
+        sizes = [len(x) for x in simplices]
+        ids = np.array([v for x in simplices for v in x], dtype=np.int64)
+        h, report = hr.preprocess_stream(sizes, ids, keep)
+        g, moved = hr.preprocess_stream(sizes, step * ids + shift, keep)
+        assert moved == report
+        assert g.labels == tuple(step * v + shift for v in h.labels)
+        assert [(s, r.tobytes(), w.tobytes()) for s, (r, w) in g.blocks.items()] == \
+            [(s, r.tobytes(), w.tobytes()) for s, (r, w) in h.blocks.items()]
+
     def test_size_stream_whose_int64_sum_wraps_is_refused(self):
         # four sizes near 2**62 sum to 3 in int64; trusted, that count made
         # the ingest kernel write past its buffer and crash the interpreter,

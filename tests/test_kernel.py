@@ -3,15 +3,16 @@
 hypergraphs."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperrank as hr
 import reference
-from hyperrank.hypergraph import merge_rows
+from hyperrank.hypergraph import _edge_blocks, merge_rows
 from hyperrank.tensor import _GaugedTensor
 from hyperrank.uniformize import MAX_PROJECTED_ROWS, _composition_rows, projected_rows
 from oracles import dense_apply
@@ -286,7 +287,7 @@ class TestPreprocessMatchesReference:
         assert (rs, hs.labels, got_blocks) == (report, labels, want_blocks)
 
     @given(st.lists(st.lists(st.one_of(st.integers(0, 6), st.sampled_from("ab")),
-                             min_size=1, max_size=5), max_size=12),
+                             max_size=6), max_size=12),
            st.booleans(), st.booleans(),
            st.lists(st.integers(0, 9), max_size=3), st.data())
     @settings(max_examples=150, deadline=None)
@@ -308,6 +309,70 @@ class TestPreprocessMatchesReference:
             return got, [str(w.message) for w in caught]
 
         assert outcome(hr.Hypergraph.from_edge_list) == outcome(reference.from_edge_list)
+
+
+INT64 = np.iinfo(np.int64)
+# weights whose sums depend on their order: 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+ORDERED_WEIGHTS = st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 1.0])
+# (row length s, bit length of the largest id) with s * bits at 62, 63 and 64;
+# a row packs into one int64 key up to 63
+PACKINGS = [(1, 62), (2, 31), (31, 2), (1, 63), (3, 21), (7, 9), (63, 1),
+            (2, 32), (4, 16), (16, 4), (64, 1)]
+
+
+def spelled(rows, weight):
+    return rows.shape, rows.tobytes(), weight.tobytes()
+
+
+class TestIngestKernel:
+    @given(st.sampled_from(PACKINGS), st.sampled_from([None, -1, INT64.min, INT64.max]),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_packed_keys_merge_as_lexsort(self, packing, extreme, data):
+        # rows drawn from a small pool, so equal rows merge; the same rows and
+        # weight bytes as the lexsort merge, and lexsort only where the rows
+        # cannot pack: past 63 bits, or with a negative or int64-extreme id
+        s, bits = packing
+        top = 2 ** bits - 1
+        pool = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, top), min_size=s, max_size=s),
+            min_size=1, max_size=5)), dtype=np.int64)
+        pool[0, data.draw(st.integers(0, s - 1))] = top
+        rows = pool[[0, *data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                                            max_size=12))]]
+        if extreme is not None:
+            rows[data.draw(st.integers(1, len(rows) - 1)),
+                 data.draw(st.integers(0, s - 1))] = extreme
+        weight = np.array(data.draw(st.lists(ORDERED_WEIGHTS, min_size=len(rows),
+                                             max_size=len(rows))))
+        lexsort = mock.Mock(wraps=np.lexsort)
+        with mock.patch.object(np, "lexsort", lexsort):
+            got = merge_rows(rows, weight)
+        assert spelled(*got) == spelled(*reference.merge_rows(rows, weight))
+        packs = s * bits <= 63 and (extreme is None or (extreme == INT64.max and s == 1))
+        assert lexsort.called != packs
+
+    @given(st.lists(st.tuples(st.lists(st.one_of(st.integers(0, 5), st.sampled_from(
+        [INT64.min, -1, INT64.max])), max_size=6), ORDERED_WEIGHTS), max_size=12),
+           st.booleans())
+    @example([([1, 1, 2], 0.1), ([1, 2], 0.2), ([2, 1], 0.3)], False)
+    @settings(max_examples=300, deadline=None)
+    def test_edge_blocks_match_reference(self, edges, keep):
+        # simplices of sizes 0-6 over few ids, so repeats are common, with
+        # negative and int64-extreme ids; the same merged blocks (bytes), sizes
+        # after collapse and edges with repeats as the per-edge loop. In the
+        # example a collapsed edge comes first, so [1, 2] weighs
+        # 0.1 + 0.2 + 0.3 = 0.6000000000000001, not 0.2 + 0.3 + 0.1 = 0.6.
+        sizes = np.array([len(e) for e, _ in edges], dtype=np.int64)
+        ids = np.array([v for e, _ in edges for v in e], dtype=np.int64)
+        weight = np.array([w for _, w in edges])
+
+        def spell(blocks, size, repeated):
+            return ([(s, *spelled(*b)) for s, b in blocks.items()],
+                    size.tolist(), repeated.tolist())
+
+        assert spell(*_edge_blocks(sizes, ids, weight, keep)) == \
+            spell(*reference.edge_blocks(sizes, ids, weight, keep))
 
 
 class TestMergeOnlyWhereRowsCollide:

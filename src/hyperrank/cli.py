@@ -241,13 +241,14 @@ def _write_manifest(path: Path, payload: dict) -> None:
 
 def _check_writable(path: Path) -> None:
     """Raise the `OSError` that writing `path` would raise, before any work is
-    done; its directory is created, and a file this check creates is removed."""
+    done; its directory is created, and a file this check creates is removed.
+    A symlink to a missing file is kept: the file created at its target goes."""
     existed = path.exists()
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a", encoding="utf-8"):
         pass
     if not existed:
-        path.unlink()
+        path.resolve().unlink()
 
 
 def _params(args) -> dict:

@@ -436,13 +436,9 @@ class PreprocessReport:
 
 
 def _stream_total(sizes: np.ndarray) -> int:
-    """The exact sum of the int64 array `sizes`: numpy's when no partial sum
-    can leave int64, Python ints' otherwise."""
-    if not len(sizes):
-        return 0
-    if len(sizes) * max(-int(sizes.min()), int(sizes.max())) <= np.iinfo(np.int64).max:
-        return int(sizes.sum())
-    return sum(sizes.tolist())
+    """The exact sum of the int64 array `sizes`, which numpy's int64 sum could
+    wrap, added as Python ints without a list of them all."""
+    return int(sizes.sum(dtype=object))
 
 
 def _size_groups(sizes: np.ndarray, ids: np.ndarray):
@@ -507,7 +503,8 @@ def _edge_blocks(sizes: np.ndarray, ids: np.ndarray, weight: np.ndarray,
 def _dense_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of the int64 array `ids`, ascending, and the index
     of each id among them. Ids spanning at most twice their count map through
-    a lookup table, others through one sort."""
+    a lookup table, whose int64 running count then holds at most twice as
+    many entries as `ids`; others map through one sort."""
     if not len(ids):
         return ids, ids
     lo = int(ids.min())

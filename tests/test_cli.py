@@ -382,6 +382,15 @@ class TestExitCodes:
         assert "ingested" not in captured.out
         assert not out.exists()
 
+    def test_output_check_keeps_a_dangling_symlink(self, tmp_path, capsys):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        code = main(["centrality", "--method", "ec", "--input", str(tmp_path / "nope"),
+                     "--out", str(link)])
+        assert code == 2
+        assert "dataset files not found" in capsys.readouterr().err
+        assert link.is_symlink() and not target.exists()
+
     def test_missing_dataset(self, tmp_path):
         code = main(["stats", "--input", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "s.csv")])

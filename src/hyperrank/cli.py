@@ -27,7 +27,6 @@ from .errors import ConvergenceError, DataError, HyperrankError, UsageError
 from .hypergraph import (
     Hypergraph,
     PreprocessReport,
-    _stream_total,
     largest_connected_component,
     order_slice,
     preprocess_stream,
@@ -45,20 +44,19 @@ from .rankcmp import (
 from .spectral import (
     SolverOptions,
     alt_centrality,
-    eigenvector_centrality,
     hec,
     uhec,
     uphec,
     z_via_uplift,
 )
-from .tensor import from_hypergraph
 
 # method -> (pipeline, order, `compare` tag, solves on the size-`order` slice).
 # The order is the option that sets it, a fixed order, or None. Pipelines are
 # named, not held: `_solve` looks each one up in this module when it runs, so
-# a wrapper rebound over the name (a tracer, say) sees every solve.
+# a wrapper rebound over the name (a tracer, say) sees every solve. `ec` is
+# `hec` on the order-2 slice.
 _METHODS = {
-    "ec": ("eigenvector_centrality", 2, None, True),
+    "ec": ("hec", 2, None, True),
     "hec": ("hec", "order", "h", True),
     "uhec": ("uhec", "order", None, False),
     "uphec": ("uphec", "p", "u", False),
@@ -168,13 +166,7 @@ def ingest_simplicial(
     """Decode the simplicial stream pair and run the preprocessing pipeline."""
     nverts = _read_int_stream(Path(nverts_path))
     flat = _read_int_stream(Path(simplices_path))
-    total = _stream_total(nverts)
-    if total != len(flat):
-        raise DataError(
-            f"count mismatch: nverts sums to {total} but the simplex "
-            f"stream holds {len(flat)} ids"
-        )
-    if (nverts < 1).any():
+    if (nverts < 1).any():  # then `preprocess_stream` checks the sizes' sum
         raise DataError("simplex sizes must be positive")
     h, report = preprocess_stream(nverts, flat, keep_multiplicities=keep_multiplicities)
     if labels_path is not None:
@@ -301,9 +293,7 @@ def _solve(h: Hypergraph, method: str, order: Optional[int], args,
         return scores, {"eigenvalue": pair.eigenvalue, "omega": pair.omega,
                         "base_eigenvalue": pair.base_eigenvalue, "norm": pair.norm,
                         "converged": True, "iterations": 0, "residual": 0.0}
-    if method == "ec":
-        res = solve(from_hypergraph(h), opts, labels=h.labels)
-    elif sliced:
+    if sliced:
         res = solve(h, opts, aux_gauge=args.aux_gauge)
     else:
         res = solve(h, order, opts, aux_gauge=args.aux_gauge)
@@ -423,6 +413,8 @@ def cmd_compare(args) -> int:
 # ──────────────────────────────────────────────────────────────────────
 
 def cmd_stats(args) -> int:
+    out = Path(args.out)
+    _check_writable(out)  # an unusable path fails before ingest
     h, _ = _ingest(args.input)
     rec = stats(h)
     lines = ["order,nodes,hyperedges,lcc_pct"]
@@ -431,8 +423,6 @@ def cmd_stats(args) -> int:
     lines.append(
         f"complete,{rec.nodes},{rec.edges},{_fmt(100 * rec.lcc_fraction)}"
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0

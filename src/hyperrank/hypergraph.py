@@ -402,20 +402,25 @@ class HypergraphStats:
     lcc_fraction: float
 
 
-def _lcc_fraction(h: Hypergraph) -> float:
-    if h.n == 0:
-        return 0.0
-    return len(connected_components(h)[0]) / h.n
+def _largest_share(roots: np.ndarray, nodes: int) -> float:
+    """The share of `nodes` in the largest component of `component_roots`'
+    `roots` (0.0 of no nodes); the uncounted nodes there are singletons."""
+    return int(np.bincount(roots).max()) / nodes if nodes else 0.0
 
 
 def stats(h: Hypergraph) -> HypergraphStats:
-    """Summary statistics: counts, size histogram, per-order LCC fractions."""
-    hist = dict(sorted(h.edge_sizes().items()))
+    """Summary statistics: counts, size histogram, per-order LCC fractions.
+    Order m counts the nodes of its size-m edges, as `order_slice(h, m)` has."""
     per_order = {}
-    for m in hist:
-        sl = order_slice(h, m)
-        per_order[m] = OrderStats(sl.n, sl.num_edges, _lcc_fraction(sl))
-    return HypergraphStats(h.n, h.num_edges, hist, per_order, _lcc_fraction(h))
+    for m, (rows, w) in h.blocks.items():
+        incident = np.zeros(h.n, dtype=bool)
+        incident[rows] = True
+        nodes = int(incident.sum())
+        per_order[m] = OrderStats(nodes, len(w),
+                                  _largest_share(component_roots(h.n, [rows]), nodes))
+    hist = {m: row.edges for m, row in per_order.items()}
+    return HypergraphStats(h.n, h.num_edges, hist, per_order,
+                           _largest_share(h._component_roots, h.n))
 
 
 @dataclass(frozen=True)
@@ -531,8 +536,12 @@ def preprocess_stream(
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     ids = np.asarray(ids, dtype=np.int64)
-    if (sizes < 0).any() or _stream_total(sizes) != len(ids):
-        raise DataError("simplex sizes do not match the id stream")
+    if (sizes < 0).any():
+        raise DataError("simplex sizes must be nonnegative")
+    total = _stream_total(sizes)
+    if total != len(ids):
+        raise DataError(f"count mismatch: the simplex sizes sum to {total} but "
+                        f"the id stream holds {len(ids)} ids")
     raw = len(sizes)
     node_ids, index = _dense_ids(ids)
     blocks, size, repeated = _edge_blocks(sizes, index, np.ones(raw), keep_multiplicities)

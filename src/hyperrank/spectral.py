@@ -28,7 +28,7 @@ from .errors import ConvergenceError, DataError
 from .hypergraph import (AuxSpec, Hypergraph, _distinct_labels, component_roots,
                          is_strongly_connected)
 from .tensor import (ScoreVector, UniformTensor, _as_array, _check_max_order,
-                     _GaugedTensor, apply, from_hypergraph)
+                     _GaugedTensor, _norm_value, apply, from_hypergraph)
 from .uniformize import alternative_uniformization, project, uplift, uplift_project
 
 __all__ = [
@@ -123,6 +123,11 @@ class EigenpairCheck:
     residual: float
     norm_violation: float
     passed: bool
+
+
+def _relative_residual(tx: np.ndarray, eigenvalue: float, rhs: np.ndarray) -> float:
+    """max |tx - eigenvalue * rhs| relative to |eigenvalue| (floored at 1e-300)."""
+    return float(np.max(np.abs(tx - eigenvalue * rhs)) / max(abs(eigenvalue), 1e-300))
 
 
 def _require_connected(h: Hypergraph):
@@ -225,7 +230,7 @@ def h_eigen_power(
         x = y ** (1.0 / e)
         x /= x.sum()
     eigenvalue = 0.5 * (lam_lo + lam_hi)
-    residual = float(np.max(np.abs(tx - eigenvalue * xe)) / max(abs(eigenvalue), 1e-300))
+    residual = _relative_residual(tx, eigenvalue, xe)
 
     aux_set = set(aux_indices)
     real = [i for i in range(n) if i not in aux_set]
@@ -444,10 +449,7 @@ def verify_h_eigenpair(
 ) -> EigenpairCheck:
     """Relative infinity-norm residual of T c^(m-1) = lambda c^[m-1]."""
     c = _as_array(vector, t.dim)
-    resid = float(
-        np.max(np.abs(apply(t, c) - eigenvalue * c ** (t.order - 1)))
-        / max(abs(eigenvalue), 1e-300)
-    )
+    resid = _relative_residual(apply(t, c), eigenvalue, c ** (t.order - 1))
     return EigenpairCheck(resid, 0.0, resid <= tol)
 
 
@@ -457,14 +459,9 @@ def verify_z_eigenpair(
 ) -> EigenpairCheck:
     """Residual of T c^(m-1) = lambda c plus the unit-norm violation."""
     c = _as_array(vector, t.dim)
-    resid = float(
-        np.max(np.abs(apply(t, c) - eigenvalue * c)) / max(abs(eigenvalue), 1e-300)
-    )
+    resid = _relative_residual(apply(t, c), eigenvalue, c)
     norm = norm.lower()
-    if norm == "z1":
-        nv = abs(float(np.abs(c).sum()) - 1.0)
-    elif norm == "z2":
-        nv = abs(float(np.sqrt((c * c).sum())) - 1.0)
-    else:
+    if norm not in ("z1", "z2"):
         raise DataError(f"norm must be 'z1' or 'z2', got {norm!r}")
+    nv = abs(_norm_value(c, "l1" if norm == "z1" else "l2") - 1.0)
     return EigenpairCheck(resid, nv, resid <= tol and nv <= tol)

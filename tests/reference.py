@@ -10,7 +10,8 @@ they share no code with the kernels under test; `merge_rows` here is the
 plain lexsort merge that the package packs into one key where it can. The
 rank sweep at the end is the one-pair-at-a-time
 form of the batched sweep in `rankcmp`; it shares only `_tau_b`, the scalar
-formula, with it.
+formula, with it. `stats` scans the edges and finds each order's components
+with scipy.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 import hyperrank as hr
-from hyperrank.hypergraph import (_check_weights, _distinct_labels, _fresh_label,
-                                  _label_sort_key, sort_labels)
+from hyperrank.hypergraph import (HypergraphStats, OrderStats, _check_weights,
+                                  _distinct_labels, _fresh_label, _label_sort_key,
+                                  sort_labels)
 from hyperrank.rankcmp import _tau_b
 from hyperrank.uniformize import _alpha, _compositions, star_factor
 
@@ -140,6 +143,36 @@ def from_edge_list(edge_lists, weights=None, nodes=(), keep_multiplicities=False
     blocks = {s: merge_rows(np.array(rows, dtype=np.int64), np.array(ws))
               for s, (rows, ws) in groups.items()}
     return hr.Hypergraph(len(labels), labels, blocks=blocks)
+
+
+# ---- statistics --------------------------------------------------------
+
+def _largest_share(nodes: list, edges: list) -> float:
+    """The share of `nodes` in the largest component of the graph that joins
+    each edge's first node to its others, by scipy; 0.0 of no nodes."""
+    if not nodes:
+        return 0.0
+    index = {v: i for i, v in enumerate(nodes)}
+    pairs = [(index[e.nodes[0]], index[v]) for e in edges for v in e.nodes[1:]]
+    rows, cols = zip(*pairs) if pairs else ((), ())
+    graph = coo_matrix((np.ones(len(pairs)), (rows, cols)), shape=(len(nodes),) * 2)
+    _, labels = connected_components(graph, directed=False)
+    return int(np.bincount(labels).max()) / len(nodes)
+
+
+def stats(h: hr.Hypergraph) -> HypergraphStats:
+    """`hypergraph.stats` from one scan of `h.edges`: order m holds the size-m
+    edges and the nodes they touch."""
+    by_size: dict[int, list] = {}
+    for e in h.edges:
+        by_size.setdefault(e.size, []).append(e)
+    per_order = {}
+    for m, edges in sorted(by_size.items()):
+        nodes = sorted({v for e in edges for v in e.nodes})
+        per_order[m] = OrderStats(len(nodes), len(edges), _largest_share(nodes, edges))
+    hist = {m: row.edges for m, row in per_order.items()}
+    return HypergraphStats(h.n, len(h.edges), hist, per_order,
+                           _largest_share(list(range(h.n)), list(h.edges)))
 
 
 # ---- rewrites ----------------------------------------------------------

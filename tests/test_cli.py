@@ -14,6 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperrank as hr
+import hyperrank.cli as cli
+import hyperrank.hypergraph as hg
 import reference
 from hyperrank.cli import _read_int_stream, _scan_int_stream, ingest_simplicial, main
 from conftest import TABLE_ROWS, child_env
@@ -74,8 +76,24 @@ class TestIngest:
 
     def test_count_mismatch_raises(self, tmp_path):
         prefix = write_dataset(tmp_path, [3, 2], [1, 2, 3, 4])
-        with pytest.raises(hr.DataError, match="count mismatch"):
+        with pytest.raises(hr.DataError, match="^count mismatch: the simplex sizes sum "
+                                               "to 5 but the id stream holds 4 ids$"):
             ingest_simplicial(f"{prefix}-nverts.txt", f"{prefix}-simplices.txt")
+
+    def test_size_stream_is_summed_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = hg._stream_total
+
+        def counted(sizes):
+            calls.append(len(sizes))
+            return original(sizes)
+
+        for module in (hg, cli):  # wherever the sum is bound
+            if getattr(module, "_stream_total", None) is original:
+                monkeypatch.setattr(module, "_stream_total", counted)
+        prefix = write_dataset(tmp_path, FIG1_NVERTS, FIG1_SIMPLICES)
+        ingest_simplicial(f"{prefix}-nverts.txt", f"{prefix}-simplices.txt")
+        assert calls == [3]
 
     def test_report_counts_match_reference(self, tmp_path):
         simplices = [[5, 1, 1], [1, 5], [7], [3, 4, 3], [9, 9], [4, 3], [2, 1, 5]]
@@ -382,6 +400,13 @@ class TestExitCodes:
         assert "ingested" not in captured.out
         assert not out.exists()
 
+    def test_stats_refuses_unwritable_output_before_ingest(self, tmp_path, capsys):
+        prefix = write_dataset(tmp_path, FIG1_NVERTS, FIG1_SIMPLICES)
+        assert main(["stats", "--input", prefix, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert "ingested" not in captured.out
+
     def test_output_check_keeps_a_dangling_symlink(self, tmp_path, capsys):
         target, link = tmp_path / "target.csv", tmp_path / "link.csv"
         link.symlink_to(target)
@@ -417,6 +442,21 @@ class TestExitCodes:
 
 
 class TestCentrality:
+    @pytest.mark.parametrize("gauge", [[], ["--aux-gauge"]], ids=["direct", "gauged"])
+    def test_ec_is_hec_at_order_two(self, tmp_path, gauge):
+        # pairs of unequal degree and a triple the order-2 slice drops
+        simplices = [[1, 2], [2, 3], [3, 4], [2, 4], [4, 5], [5, 6], [1, 3, 5]]
+        prefix = write_dataset(tmp_path, [len(x) for x in simplices],
+                               [v for x in simplices for v in x])
+        runs = []
+        for name, method in (("ec", ["ec"]), ("hec", ["hec", "--order", "2"])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["centrality", "--method", *method, *gauge, "--input", prefix,
+                         "--out", str(out)]) == 0
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            runs.append((out.read_bytes(), manifest["result"]))
+        assert runs[0] == runs[1]
+
     def test_uphec_gauge_reproduces_reference_row(self, tmp_path):
         prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
         out = tmp_path / "scores.csv"

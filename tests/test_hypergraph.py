@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import hyperrank as hr
+import hyperrank.hypergraph as hg
+import reference
 from hyperrank.hypergraph import _sorted_distinct, component_roots
 from conftest import child_env
 from oracles import random_hypergraph
@@ -109,6 +112,40 @@ class TestStats:
                 sl = hr.order_slice(h, m)
                 assert row.edges == rec.size_histogram[m] == len(sl.edges)
                 assert row.nodes == sl.n
+
+    @given(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=5), max_size=12),
+           st.lists(st.integers(10, 13), max_size=3), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    @example([], [], False, False)  # no nodes
+    @example([], [10, 11], False, False)  # nodes but no edges
+    @example([[1, 1], [2, 3, 3]], [], True, True)  # repeats, then an aux node
+    def test_matches_edge_scan_reference(self, edges, isolated, keep, lift):
+        # isolated nodes, repeated nodes kept as multiplicities, an uplift's
+        # aux node (repeated in the rows it pads) and edgeless hypergraphs
+        if not keep:
+            edges = [e for e in edges if len(set(e)) >= 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # repeats collapsing to a set
+            h = hr.Hypergraph.from_edge_list(edges, nodes=isolated,
+                                             keep_multiplicities=keep)
+        if lift and h.blocks:
+            h = hr.uplift(h, h.max_size + 1)
+        rec = hr.stats(h)
+        assert rec == reference.stats(h)
+        shares = [rec.lcc_fraction, *(row.lcc_fraction for row in rec.per_order.values())]
+        assert all(type(share) is float for share in shares)
+
+    def test_makes_no_slice_and_no_component_list(self, monkeypatch):
+        # each order's share is read off its own block's component roots
+        def refuse(*args):
+            raise AssertionError("stats called a slice or component-list builder")
+
+        monkeypatch.setattr(hg, "order_slice", refuse)
+        monkeypatch.setattr(hg, "connected_components", refuse)
+        h = hr.Hypergraph.from_edge_list([[1, 2, 3], [2, 4], [3, 5], [6, 7], [8, 9, 9]],
+                                         keep_multiplicities=True)
+        assert hr.stats(h) == reference.stats(h)
+        assert "_label_rank" not in vars(h)  # no label sort either
 
 
 class TestFlatteningAgreement:
@@ -291,4 +328,5 @@ class TestPreprocess:
         proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "simplex sizes do not match the id stream\n"
+        assert proc.stdout == ("count mismatch: the simplex sizes sum to "
+                               "18446744073709551619 but the id stream holds 3 ids\n")

@@ -233,11 +233,14 @@ class Hypergraph:
 
     def with_labels(self, labels: tuple) -> "Hypergraph":
         """The same hypergraph under new node labels."""
-        return Hypergraph(self.n, labels=labels, aux=self.aux, blocks=self.blocks)
+        return _hand_on_connected(
+            self, Hypergraph(self.n, labels=labels, aux=self.aux, blocks=self.blocks))
 
     @cached_property
     def _component_roots(self) -> np.ndarray:
-        """`component_roots` over every block: computed once per hypergraph."""
+        """`component_roots` over every block: computed once per hypergraph,
+        or handed on by a construction from a connected input
+        (`_hand_on_connected`)."""
         return component_roots(self.n, (rows for rows, _ in self.blocks.values()))
 
     @cached_property
@@ -251,7 +254,7 @@ class Hypergraph:
         for s, (rows, w) in self.blocks.items():
             mask = inside[rows[:, 0]]
             kept[s] = (rows[mask], w[mask])
-        return self.restrict(np.sort(comp), kept)
+        return _mark_connected(self.restrict(np.sort(comp), kept))
 
     @cached_property
     def _label_rank(self) -> np.ndarray:
@@ -309,6 +312,24 @@ class Hypergraph:
         aux = AuxSpec(tuple(a for a, _ in aux_pairs), tuple(m for _, m in aux_pairs))
         labels = tuple(self.labels[i] for i in keep.tolist())
         return Hypergraph(len(keep), labels=labels, aux=aux, blocks=new_blocks)
+
+
+def _mark_connected(h: Hypergraph) -> Hypergraph:
+    """`h`, its cached `_component_roots` set to those of one component:
+    every node's root is node 0. For hypergraphs connected by construction."""
+    h.__dict__["_component_roots"] = np.zeros(h.n, dtype=int)  # component_roots' dtype
+    return h
+
+
+def _hand_on_connected(source: Hypergraph, out: Hypergraph) -> Hypergraph:
+    """`out`, marked connected when `source` is known to be: its roots are
+    cached, it has nodes, and every root is 0. For constructions that map a
+    connected input to a connected output; an input whose roots were never
+    computed hands nothing on, so no pass runs here."""
+    roots = source.__dict__.get("_component_roots")
+    if roots is not None and source.n > 0 and not roots.any():
+        _mark_connected(out)
+    return out
 
 
 def component_roots(n: int, rows: Iterable[np.ndarray]) -> np.ndarray:
@@ -410,17 +431,22 @@ def _largest_share(roots: np.ndarray, nodes: int) -> float:
 
 def stats(h: Hypergraph) -> HypergraphStats:
     """Summary statistics: counts, size histogram, per-order LCC fractions.
-    Order m counts the nodes of its size-m edges, as `order_slice(h, m)` has."""
-    per_order = {}
+    Order m counts the nodes of its size-m edges, as `order_slice(h, m)` has.
+    The whole input's components join the per-order ones: each order's
+    roots, as one (root, node) row per node, make a pass over n rows per
+    order instead of over every edge."""
+    per_order, joins = {}, []
+    nodes_index = np.arange(h.n)
     for m, (rows, w) in h.blocks.items():
         incident = np.zeros(h.n, dtype=bool)
         incident[rows] = True
         nodes = int(incident.sum())
-        per_order[m] = OrderStats(nodes, len(w),
-                                  _largest_share(component_roots(h.n, [rows]), nodes))
+        roots = component_roots(h.n, [rows])
+        per_order[m] = OrderStats(nodes, len(w), _largest_share(roots, nodes))
+        joins.append(np.column_stack([roots, nodes_index]))
     hist = {m: row.edges for m, row in per_order.items()}
     return HypergraphStats(h.n, h.num_edges, hist, per_order,
-                           _largest_share(h._component_roots, h.n))
+                           _largest_share(component_roots(h.n, joins), h.n))
 
 
 @dataclass(frozen=True)

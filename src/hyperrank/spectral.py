@@ -28,7 +28,7 @@ from .errors import ConvergenceError, DataError
 from .hypergraph import (AuxSpec, Hypergraph, _distinct_labels, component_roots,
                          is_strongly_connected)
 from .tensor import (ScoreVector, UniformTensor, _as_array, _check_max_order,
-                     _GaugedTensor, _norm_value, apply, from_hypergraph)
+                     _contraction, _GaugedTensor, _norm_value, apply, from_hypergraph)
 from .uniformize import alternative_uniformization, project, uplift, uplift_project
 
 __all__ = [
@@ -201,12 +201,13 @@ def h_eigen_power(
         x /= x.sum()
     else:
         x = np.full(n, 1.0 / n)
+    contract = _contraction(t)  # its buffers serve every step of this solve
     e = m - 1
     rho = 0.0
     width_1 = width_2 = math.inf  # bracket widths one and two steps back
     for iterations in range(1, opts.max_iter + 1):  # max_iter >= 1: at least once
         xe = x**e
-        tx = apply(t, x)
+        tx = contract(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = tx / xe
         lam_lo, lam_hi = float(ratios.min()), float(ratios.max())

@@ -9,9 +9,11 @@ whose support is the row's multiset of nodes. The represented array has an
 entry's value at every index tuple whose multiset of indices equals its
 support, so an uplifted edge costs one row with its auxiliary node as
 one more column. `apply` groups the rows by multiplicity pattern on first
-use. The read-only `UniformTensor.entries` view lists the (support, value)
-pairs on demand for `flattening_matrix` and `dense_oracle`, which exist for
-cross-checking on small instances; nothing is densified in production paths.
+use and allocates its work arrays per call; the power method contracts into
+arrays it allocates once per solve (`_contraction`). The read-only
+`UniformTensor.entries` view lists the (support, value) pairs on demand for
+`flattening_matrix` and `dense_oracle`, which exist for cross-checking on
+small instances; nothing is densified in production paths.
 
 The aux gauge is not a tensor of its own but `_GaugedTensor`, a view whose
 `apply` rescales the base contraction.
@@ -204,21 +206,59 @@ class _GaugedTensor:
         return self.base._apply_arrays
 
 
-def _contract(kernels, vec: np.ndarray, dim: int) -> np.ndarray:
-    """`apply` on the kernels of `UniformTensor._apply_arrays`."""
-    y = np.zeros(dim)
-    for rows, cells, coef, sequences in kernels:
-        xr = vec[rows]
-        factors = [xr[:, j] for j in range(rows.shape[1])]
+def _contraction(t):
+    """`apply` on t as a function of a float vector of length t.dim. Each
+    kernel's gather and term buffers are allocated here, once, and refilled
+    on every call by the multiplications of a fresh contraction, in their
+    order, so every result is bit-identical to one. A solver builds one
+    contraction per solve: no two threads share buffers (numpy releases the
+    GIL inside `take` and `multiply`).
+    """
+    gauged = isinstance(t, _GaugedTensor)
+    dim = t.dim - 1 if gauged else t.dim
+    arrays = t._apply_arrays[1]
+    # products of 3 or more factors build up here, one kernel at a time
+    scratch = np.empty(max(len(rows) for rows, _, _, _ in arrays))
+    kernels = []
+    for rows, cells, coef, sequences in arrays:
         terms = np.empty(coef.shape)
-        for j, seq in enumerate(sequences):
-            product = factors[seq[0]]
-            for l in seq[1:]:
-                product = product * factors[l]
-            terms[:, j] = product
-        terms *= coef
-        y += np.bincount(cells, weights=terms.ravel(), minlength=dim)
-    return y
+        if len(sequences[0]) == 1:  # order 2: each term is one gathered factor
+            index = rows[:, [seq[0] for seq in sequences]].ravel()
+            gathered, xr, sequences = terms.ravel(), None, ()
+        else:  # gather in the rows' own layout, as `vec[rows]` does: a
+            # column-major kernel's products then read contiguous columns
+            layout = "F" if np.isfortran(rows) else "C"
+            xr = np.empty(rows.shape, order=layout)
+            index, gathered = rows.ravel(layout), xr.ravel(layout)
+        kernels.append((index, gathered, xr, cells, coef, sequences, terms,
+                        scratch[:len(rows)]))
+
+    def contract(vec: np.ndarray) -> np.ndarray:
+        y = np.zeros(dim)
+        for index, gathered, xr, cells, coef, sequences, terms, partial in kernels:
+            # the rows were range-checked when their hypergraph was built;
+            # under mode="raise" numpy gathers into a temporary, then copies
+            np.take(vec, index, out=gathered, mode="clip")
+            for j, (first, *rest) in enumerate(sequences):
+                # only a product's last step writes its strided column
+                product = xr[:, first]
+                for l in rest[:-1]:
+                    product = np.multiply(product, xr[:, l], out=partial)
+                np.multiply(product, xr[:, rest[-1]], out=terms[:, j])
+            terms *= coef
+            y += np.bincount(cells, weights=terms.ravel(), minlength=dim)
+        return y
+
+    if not gauged:
+        return contract
+    m = t.base.order
+
+    def contract_gauged(vec: np.ndarray) -> np.ndarray:
+        real = vec[:-1]
+        z = contract(real)
+        return np.append(m / (m + 1) * vec[-1] * z, (real * z).sum() / (m + 1))
+
+    return contract_gauged
 
 
 def apply(t: UniformTensor, x: ArrayLike) -> np.ndarray:
@@ -237,12 +277,7 @@ def apply(t: UniformTensor, x: ArrayLike) -> np.ndarray:
     arrangement count is m times its base count, and the star's is the base
     row's full count, so y[:n] = (m/(m+1)) x_* z and y_* = (x[:n] . z)/(m+1).
     """
-    vec = _as_array(x, t.dim)
-    if isinstance(t, _GaugedTensor):
-        m, real = t.base.order, vec[:-1]
-        z = _contract(t._apply_arrays[1], real, t.dim - 1)
-        return np.append(m / (m + 1) * vec[-1] * z, (real * z).sum() / (m + 1))
-    return _contract(t._apply_arrays[1], vec, t.dim)
+    return _contraction(t)(_as_array(x, t.dim))
 
 
 def flattening_matrix(t: UniformTensor) -> np.ndarray:

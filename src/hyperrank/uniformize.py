@@ -10,6 +10,12 @@ participation counts, and the multi-uplift leaves weights untouched
 All rewrites work on the size-class edge blocks of `Hypergraph`: an uplift
 appends auxiliary columns to each block's rows, a projection gathers column
 subsets, and the composition construction repeats columns.
+
+Each rewrite maps a connected input to a connected output: an uplift's star
+joins edges that were already connected, the p-subsets (p >= 2) of an edge
+chain its nodes, and every composition row holds every node of its edge. So
+an input already known to be connected hands that verdict to its output's
+cached connectivity, and the solver's check finds no pass left to run.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DataError
-from .hypergraph import AuxSpec, Hypergraph, _fresh_label, merge_rows
+from .hypergraph import AuxSpec, Hypergraph, _fresh_label, _hand_on_connected, merge_rows
 from .tensor import _check_max_order
 
 __all__ = [
@@ -94,8 +100,9 @@ def uplift(h: Hypergraph, m: int, counter: BuildCounter | None = None) -> Hyperg
         rows.append(r)
         weights.append(w)
     aux = AuxSpec(h.aux.nodes + (star,), h.aux.multiplicities + (None,))
-    return Hypergraph(h.n + 1, labels=h.labels + (_fresh_label(set(h.labels), "*"),),
-                      aux=aux, blocks={m: (np.concatenate(rows), np.concatenate(weights))})
+    return _hand_on_connected(h, Hypergraph(
+        h.n + 1, labels=h.labels + (_fresh_label(set(h.labels), "*"),), aux=aux,
+        blocks={m: (np.concatenate(rows), np.concatenate(weights))}))
 
 
 def multi_uplift(
@@ -124,8 +131,8 @@ def multi_uplift(
     pad = np.repeat(np.array(aux_nodes, dtype=np.int64), p)
     rows = np.hstack([rows, np.broadcast_to(pad, (len(rows), len(pad)))])
     aux = AuxSpec(h.aux.nodes + aux_nodes, h.aux.multiplicities + p)
-    return Hypergraph(h.n + len(p), labels=tuple(labels), aux=aux,
-                      blocks={m: (rows, weight)})
+    return _hand_on_connected(h, Hypergraph(h.n + len(p), labels=tuple(labels), aux=aux,
+                                            blocks={m: (rows, weight)}))
 
 
 def projected_rows(size_histogram: Mapping[int, int], p: int) -> int:
@@ -171,7 +178,7 @@ def project(h: Hypergraph, p: int, counter: BuildCounter | None = None) -> Hyper
         rows_p.append(rows)
         weights_p.append(w)
     blocks[p] = merge_rows(np.concatenate(rows_p), np.concatenate(weights_p))
-    return Hypergraph(h.n, labels=h.labels, aux=h.aux, blocks=blocks)
+    return _hand_on_connected(h, Hypergraph(h.n, labels=h.labels, aux=h.aux, blocks=blocks))
 
 
 def uplift_project(
@@ -240,5 +247,5 @@ def alternative_uniformization(h: Hypergraph, m: int) -> Hypergraph:
             rows.append(np.repeat(r, comp, axis=1))
             weights.append(value)
     blocks = {m: (np.concatenate(rows), np.concatenate(weights))} if rows else {}
-    return Hypergraph(h.n, labels=h.labels, aux=h.aux, blocks=blocks)
+    return _hand_on_connected(h, Hypergraph(h.n, labels=h.labels, aux=h.aux, blocks=blocks))
 

@@ -274,6 +274,25 @@ def apply_rows(order: int, entries) -> tuple:
     return np.asarray(lead), np.asarray(coef), np.asarray(rest)
 
 
+def contract_kernels(kernels, vec: np.ndarray, dim: int) -> np.ndarray:
+    """`tensor.apply`'s contraction on the kernels of `_apply_arrays` as it
+    was before its buffers were kept: a fresh gather, fresh leave-one-out
+    products and a fresh term array on every call."""
+    y = np.zeros(dim)
+    for rows, cells, coef, sequences in kernels:
+        xr = vec[rows]
+        factors = [xr[:, j] for j in range(rows.shape[1])]
+        terms = np.empty(coef.shape)
+        for j, seq in enumerate(sequences):
+            product = factors[seq[0]]
+            for l in seq[1:]:
+                product = product * factors[l]
+            terms[:, j] = product
+        terms *= coef
+        y += np.bincount(cells, weights=terms.ravel(), minlength=dim)
+    return y
+
+
 def apply(rows: tuple, dim: int, x: np.ndarray) -> np.ndarray:
     lead, coef, rest = rows
     terms = coef * np.prod(np.asarray(x)[rest], axis=1)

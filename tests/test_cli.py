@@ -632,9 +632,8 @@ class TestCompare:
         assert manifest["lcc"] is False
 
     def test_one_component_pass_per_hypergraph(self, tmp_path, monkeypatch):
-        # the input's components are found once for --lcc and all three
-        # pipelines; each uplifted hypergraph a tensor is built on adds one
-        # pass, and the tensor's own check reuses it
+        # the input's components are found once, for --lcc; every pipeline's
+        # construction inherits that verdict, so the tensors' checks add none
         import hyperrank.hypergraph as hg
         import hyperrank.spectral as sp
         original, calls = hg.component_roots, []
@@ -648,15 +647,15 @@ class TestCompare:
         prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
         assert main(["compare", "--methods", "u2,u3,a3", "--lcc", "--input", prefix,
                      "--out-dir", str(tmp_path / "out")]) == 0
-        assert len(calls) == 4
-        # disconnected: the largest component is extracted once and its own
-        # pass is shared by the three pipelines
+        assert len(calls) == 1
+        # disconnected: the largest component is extracted once, connected by
+        # construction, and hands that on to the three pipelines
         calls.clear()
         prefix = write_dataset(tmp_path, [3, 2, 2, 3], [1, 2, 3, 2, 4, 5, 6, 5, 6, 7],
                                prefix="split")
         assert main(["compare", "--methods", "u2,u3,a3", "--lcc", "--input", prefix,
                      "--out-dir", str(tmp_path / "toy_out")]) == 0
-        assert len(calls) == 5 and calls[:2] == [7, 4]
+        assert calls == [7]
         # a slice solved as it is (hec, ec) has one pass, shared by --lcc
         # and the tensor's check
         calls.clear()
@@ -668,6 +667,13 @@ class TestCompare:
         assert main(["centrality", "--method", "ec", "--lcc", "--input", prefix,
                      "--out", str(tmp_path / "ec.csv")]) == 0
         assert len(calls) == 1
+        # an uplifted projection, gauged or not, solves on the input's pass
+        for gauge in ([], ["--aux-gauge"]):
+            calls.clear()
+            assert main(["centrality", "--method", "uphec", "--p", "3", "--lcc",
+                         "--input", prefix, "--out", str(tmp_path / "up.csv"),
+                         *gauge]) == 0
+            assert calls == [6]
 
     def test_k_above_input_nodes_refused_before_solving(self, tmp_path, capsys):
         prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)

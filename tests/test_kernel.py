@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import hyperrank as hr
 import reference
 from hyperrank.hypergraph import _edge_blocks, merge_rows
-from hyperrank.tensor import _GaugedTensor
+from hyperrank.tensor import _contraction, _GaugedTensor
 from hyperrank.uniformize import MAX_PROJECTED_ROWS, _composition_rows, projected_rows
 from oracles import dense_apply
 
@@ -129,6 +129,52 @@ class TestTensorKernel:
         t6 = hr.from_hypergraph(hr.uplift(two_aux_uplift, 6))
         assert sorted(kernel_mults(t6)) == [(1, 1, 1, 2, 1)]
         assert t6.entries == reference.tensor_entries(reference.uplift(two_aux_uplift, 6))
+
+
+def fresh_contraction(t, vec):
+    """`reference.contract_kernels` on t, with the aux gauge's rescaling of
+    the base contraction when t is the gauged view."""
+    kernels = t._apply_arrays[1]
+    if isinstance(t, _GaugedTensor):
+        m, real = t.base.order, vec[:-1]
+        z = reference.contract_kernels(kernels, real, t.dim - 1)
+        return np.append(m / (m + 1) * vec[-1] * z, (real * z).sum() / (m + 1))
+    return reference.contract_kernels(kernels, vec, t.dim)
+
+
+class TestContractionBuffers:
+    @given(hypergraphs(), st.sampled_from(["uplift", "uplift_project", "alt"]),
+           st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_kept_buffers_give_fresh_results_bit_for_bit(self, h, kind, gauged, data):
+        # one solver contraction refills its buffers on every call; each
+        # result, and `apply`'s, is the fresh-array contraction's to the bit
+        if kind == "uplift_project":
+            m = data.draw(st.integers(2, h.max_size))
+        else:
+            m = h.max_size + data.draw(st.integers(0, 1))
+        t = hr.from_hypergraph(build(h, kind, m, aux_gauge=False)[0])
+        if gauged:
+            t = _GaugedTensor(t)
+        contract = _contraction(t)
+        xrng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for _ in range(3):
+            x = xrng.uniform(0.5, 1.5, t.dim)
+            want = fresh_contraction(t, x).view(np.int64)
+            assert np.array_equal(contract(x).view(np.int64), want)
+            assert np.array_equal(hr.apply(t, x).view(np.int64), want)
+
+    @pytest.mark.parametrize("rows", [[[0, 0], [0, 1], [1, 2], [2, 2]],
+                                      [[0, 0, 1], [0, 1, 2], [1, 2, 2], [2, 2, 2]]])
+    def test_rows_with_repeated_nodes(self, rows):
+        h = hr.Hypergraph(3, blocks={len(rows[0]): (np.array(rows), np.arange(1.0, 5.0))})
+        xrng = np.random.default_rng(7)
+        for t in (hr.from_hypergraph(h), _GaugedTensor(hr.from_hypergraph(h))):
+            contract = _contraction(t)
+            for _ in range(3):
+                x = xrng.uniform(0.5, 1.5, t.dim)
+                want = fresh_contraction(t, x).view(np.int64)
+                assert np.array_equal(contract(x).view(np.int64), want)
 
 
 class TestPipelinesMatchReference:

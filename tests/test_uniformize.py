@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperrank as hr
+from hyperrank.hypergraph import component_roots
 from hyperrank.spectral import _require_connected
 from hyperrank.tensor import _GaugedTensor
 from oracles import project_weight_scan, random_hypergraph
@@ -228,22 +230,44 @@ class TestInvariants:
             assert {e.size for e in g.edges} <= {max(2, min(h.max_size, m)), m}
             assert g.is_uniform()
 
-    @given(small_hypergraphs(), st.integers(0, 2))
-    @settings(max_examples=60, deadline=None)
-    def test_connectivity_preserved(self, h, bump):
-        # each construction a pipeline solves on, with and without the aux
-        # gauge, maps a connected input to a weakly irreducible tensor
-        if not hr.is_strongly_connected(h):
-            return
+    @given(small_hypergraphs(), st.integers(0, 2), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_connectivity_preserved(self, h, bump, known):
+        # each construction a pipeline solves on maps a connected input to a
+        # connected output; it hands the input's verdict to the output's
+        # cached roots only when the input's roots were already computed and
+        # name one component, and a handed-on verdict is a fresh pass's
+        if known:
+            hr.is_strongly_connected(h)
         m = h.max_size + bump
-        built = [hr.uplift(h, m)]
+        built = [hr.uplift(h, m), hr.multi_uplift(hr.uplift(h, m), m + 2, (1, 1)),
+                 h.with_labels(tuple(f"v{i}" for i in range(h.n)))]
+        built += [hr.project(h, p) for p in range(2, h.max_size + 1)]
         built += [hr.uplift_project(h, p) for p in range(2, h.max_size + 1)]
         built += [hr.alternative_uniformization(hr.project(h, k), k) for k in range(2, m + 1)]
+        connected = hr.is_strongly_connected(h)
         for g in built:
-            t = hr.from_hypergraph(g)
-            for u in (t, _GaugedTensor(t)):  # the gauge checks g itself
-                assert hr.is_strongly_connected(u.hypergraph)
-                _require_connected(u.hypergraph)
+            fresh = component_roots(g.n, [rows for rows, _ in g.blocks.values()])
+            if connected:
+                assert not fresh.any()
+            if g is not h:  # not an identity rewrite
+                handed = "_component_roots" in vars(g)
+                assert handed == (known and connected)
+                if handed:
+                    assert np.array_equal(g._component_roots, fresh)
+            if connected and g.is_uniform():
+                t = hr.from_hypergraph(g)
+                for u in (t, _GaugedTensor(t)):  # the gauge checks g itself
+                    assert hr.is_strongly_connected(u.hypergraph)
+                    _require_connected(u.hypergraph)
+
+    @given(small_hypergraphs())
+    @settings(max_examples=40, deadline=None)
+    def test_largest_component_is_marked_connected(self, h):
+        lcc = hr.largest_connected_component(h)
+        assert not component_roots(lcc.n, [r for r, _ in lcc.blocks.values()]).any()
+        if lcc is not h:
+            assert not vars(lcc)["_component_roots"].any()
 
     def test_uplift_at_max_on_uniform_is_identity(self):
         h = hr.Hypergraph.from_edge_list([[0, 1, 2], [1, 2, 3]])

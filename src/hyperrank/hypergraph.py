@@ -124,8 +124,10 @@ def merge_rows(rows: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.nda
     by summing their weights (in input order, so the result is deterministic).
 
     Rows of nonnegative ids whose bit length b has b * s <= 63 sort as one
-    packed int64 key each under a stable argsort; others under a stable
-    lexsort. Both give the same order."""
+    packed int64 key each; others under a lexsort. Both give the same order
+    of distinct rows. Equal rows may leave the sort in any order, so each
+    row's group number goes back to its input position, and bincount adds
+    every group's weights in input order."""
     if len(rows) < 2:
         return rows, weight
     bits = int(rows.max()).bit_length()
@@ -134,7 +136,7 @@ def merge_rows(rows: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.nda
         for j in range(1, rows.shape[1]):
             key <<= bits
             key |= rows[:, j]
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(key)
         key = key[order]
     else:
         order = np.lexsort(rows.T[::-1])
@@ -143,7 +145,9 @@ def merge_rows(rows: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.nda
     first[1:] = (key[1:] != key[:-1]).reshape(len(rows) - 1, -1).any(axis=1)
     if first.all():
         return rows[order], weight[order]
-    return rows[order[first]], np.bincount(np.cumsum(first) - 1, weights=weight[order])
+    group = np.empty(len(rows), dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    return rows[order[first]], np.bincount(group, weights=weight)
 
 
 def _frozen(a, dtype) -> np.ndarray:
@@ -488,8 +492,8 @@ def _size_groups(sizes: np.ndarray, ids: np.ndarray):
 def _merged(chunks: list, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`merge_rows` over the (edges, rows) chunks of one size, in edge order."""
     edges, rows = (np.concatenate(a) for a in zip(*chunks))
-    if len(chunks) > 1:
-        order = np.argsort(edges, kind="stable")
+    if len(chunks) > 1:  # distinct edge numbers: any sort gives the one order
+        order = np.argsort(edges)
         edges, rows = edges[order], rows[order]
     return merge_rows(rows, weight[edges])
 

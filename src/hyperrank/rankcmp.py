@@ -51,8 +51,13 @@ def _earlier_counts(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     padding. Once the blocks of width 2^(k+1) are sorted, an element of a
     block's right half (position bit k set) is preceded by exactly the
     left-half elements of rank <= its own: its index in the block less the
-    right-half elements up to it. The final order is by (rank, position),
-    so its runs give the equal counts.
+    right-half elements up to it. Each element carries that running count
+    in its own key: entering level k, its low bits hold position >> k above
+    a count below 2^k, and a right-half element trades position bit k,
+    which no later level reads, for the count it gains. Among equal ranks
+    the counts grow with the position, so every sort still orders by
+    (rank, position); one sort up front maps the final keys back to their
+    positions, and the final runs of equal rank give the equal counts.
     """
     p, n = rank.shape
     bits = (n - 1).bit_length()
@@ -61,16 +66,17 @@ def _earlier_counts(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = np.zeros((p, size), dtype=np.int64)
     keys[:, :n] = rank
     keys = (keys << bits) | idx
-    row = np.arange(p, dtype=np.int64)[:, None] * size
-    lower_eq = np.zeros(p * size, dtype=np.int64)
+    at = (np.argsort(keys, axis=1) + np.arange(p, dtype=np.int64)[:, None] * size).ravel()
     for k in range(bits):
         keys = np.sort(keys.reshape(p, -1, 2 << k), axis=-1).reshape(p, size)
         right = (keys >> k) & 1
         # each earlier block of the row holds 2^k right-half elements
         before = idx + 1 - np.cumsum(right, axis=1) - ((idx >> (k + 1)) << k)
-        lower_eq[row + (keys & (size - 1))] += right * before
+        keys += right * (before - (1 << k))
+    lower_eq = np.empty(p * size, dtype=np.int64)
     equal = np.empty(p * size, dtype=np.int64)
-    equal[row + (keys & (size - 1))] = _run_offsets(_heads(keys >> bits))
+    lower_eq[at] = (keys & (size - 1)).ravel()
+    equal[at] = _run_offsets(_heads(keys >> bits)).ravel()
     lower_eq, equal = lower_eq.reshape(p, size), equal.reshape(p, size)
     return (lower_eq - equal)[:, :n], equal[:, :n]
 
@@ -112,15 +118,17 @@ def _dense_ranks(columns: np.ndarray) -> np.ndarray:
     return np.stack([np.unique(c, return_inverse=True)[1] for c in columns])
 
 
-def _tau_b(n: int, ties_a: int, ties_b: int, ties_ab: int, discordant: int) -> float:
+def _tau_b(n, ties_a, ties_b, ties_ab, discordant) -> np.ndarray:
+    """Tau-b of int64 pair counts, element by element; NaN where a column is
+    fully tied. Below 2^53 both factors of the denominator convert exactly
+    and their one float product rounds as the exact integer product does,
+    so each value is the correctly rounded quotient of exact counts (the
+    integer product overflows int64 from n of about 78,000)."""
     n0 = n * (n - 1) // 2
     numerator = n0 - ties_a - ties_b + ties_ab - 2 * discordant
-    # one sqrt of the exact Python-int product keeps the +/-1 cases exact
-    # (the product overflows int64 from n of about 78,000)
-    denom = math.sqrt((n0 - ties_a) * (n0 - ties_b))
-    if denom == 0:
-        return float("nan")
-    return numerator / denom
+    product = (n0 - ties_a).astype(float) * (n0 - ties_b).astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(product == 0, np.nan, numerator / np.sqrt(product))
 
 
 def _sweep(ranks: np.ndarray, pairs: Sequence[tuple[int, int]], ks: Sequence[int]):
@@ -140,11 +148,10 @@ def _sweep(ranks: np.ndarray, pairs: Sequence[tuple[int, int]], ks: Sequence[int
         ends = ends[:, at]
         rows, cols = np.nonzero(_heads(ends))
         ends = ends[rows, cols]
-        counts = sums[:, rows, ends - 1].T.tolist()
-        points = [(e, _tau_b(e, *c)) for e, c in zip(ends.tolist(), counts)]
+        points = list(zip(ends.tolist(), _tau_b(ends, *sums[:, rows, ends - 1]).tolist()))
         bounds = np.searchsorted(rows, np.arange(len(i) + 1)).tolist()
-        for a, b, whole in zip(bounds, bounds[1:], sums[:, :, -1].T.tolist()):
-            yield points[a:b], _tau_b(n, *whole)
+        for a, b, whole in zip(bounds, bounds[1:], _tau_b(n, *sums[:, :, -1]).tolist()):
+            yield points[a:b], whole
 
 
 def _check_ks(ks: Sequence[int], n: int) -> list[int]:
@@ -332,5 +339,5 @@ def write_curves_csv(path, curves: Mapping[tuple[str, str], Curve]) -> None:
     lines = ["method_a,method_b,K,tau"]
     for (tag_a, tag_b) in sorted(curves):
         for k, tau in curves[(tag_a, tag_b)]:
-            lines.append(f"{tag_a},{tag_b},{k},{_fmt(tau)}")
+            lines.append(f"{tag_a},{tag_b},{k},{tau:.12g}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

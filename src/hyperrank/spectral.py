@@ -27,9 +27,9 @@ import numpy as np
 from .errors import ConvergenceError, DataError
 from .hypergraph import (AuxSpec, Hypergraph, _distinct_labels, component_roots,
                          is_strongly_connected)
-from .tensor import (ScoreVector, UniformTensor, _as_array, _check_max_order,
+from .tensor import (ScoreVector, UniformTensor, _as_array, _CompositionTensor,
                      _contraction, _GaugedTensor, _norm_value, apply, from_hypergraph)
-from .uniformize import alternative_uniformization, project, uplift, uplift_project
+from .uniformize import _check_max_order, project, uplift, uplift_project
 
 __all__ = [
     "SolverOptions",
@@ -266,12 +266,12 @@ def eigenvector_centrality(
 # ──────────────────────────────────────────────────────────────────────
 
 def _solve_uniformized(
-    g: Hypergraph, method: str, options: Optional[SolverOptions], aux_gauge: bool,
+    t: UniformTensor | _CompositionTensor, method: str, options: Optional[SolverOptions],
+    aux_gauge: bool,
 ) -> CentralityResult:
-    """Solve on the tensor of the uniform hypergraph g or, when `aux_gauge`
-    is set, on its aux-gauged view: the tensor of `uplift(g, m + 1)`."""
-    t = from_hypergraph(g)
-    labels, aux_indices = g.labels, g.aux.nodes
+    """Solve on the tensor t of a uniformized hypergraph or, when `aux_gauge`
+    is set, on its aux-gauged view: the tensor uplifted one more order."""
+    labels, aux_indices = t.hypergraph.labels, t.hypergraph.aux.nodes
     if aux_gauge:
         t = _GaugedTensor(t)
         labels, aux_indices = t.labels, t.aux_indices
@@ -288,7 +288,7 @@ def hec(
     _require_connected(h)
     if not h.is_uniform():
         raise DataError("hec requires a uniform hypergraph; see uhec/uphec")
-    return _solve_uniformized(h, f"HEC({h.max_size})", options, aux_gauge)
+    return _solve_uniformized(from_hypergraph(h), f"HEC({h.max_size})", options, aux_gauge)
 
 
 def uhec(
@@ -303,7 +303,8 @@ def uhec(
     auxiliary components are reported separately at their raw solver values.
     """
     _require_connected(h)
-    return _solve_uniformized(uplift(h, m), f"UHEC({m})", options, aux_gauge)
+    return _solve_uniformized(from_hypergraph(uplift(h, m)), f"UHEC({m})", options,
+                              aux_gauge)
 
 
 def uphec(
@@ -314,7 +315,8 @@ def uphec(
 ) -> CentralityResult:
     """Project edges above order p, uplift the rest, and solve at order p."""
     _require_connected(h)
-    return _solve_uniformized(uplift_project(h, p), f"UPHEC({p})", options, aux_gauge)
+    return _solve_uniformized(from_hypergraph(uplift_project(h, p)), f"UPHEC({p})",
+                              options, aux_gauge)
 
 
 def alt_centrality(
@@ -326,11 +328,13 @@ def alt_centrality(
     """Centrality from the composition-based uniformization at order m.
 
     Edges above m are first projected down (the composition construction only
-    reaches upward), then every edge is expanded over its index multisets.
+    reaches upward), then every edge is expanded over its index multisets:
+    the solve runs on that tensor as a view of the projection, without the
+    expanded rows (`tensor._CompositionTensor`).
     """
     _require_connected(h)
-    return _solve_uniformized(alternative_uniformization(project(h, m), m),
-                              f"ALT({m})", options, aux_gauge)
+    return _solve_uniformized(_CompositionTensor(project(h, m), m), f"ALT({m})", options,
+                              aux_gauge)
 
 
 # ──────────────────────────────────────────────────────────────────────

@@ -16,7 +16,9 @@ arrays it allocates once per solve (`_contraction`). The read-only
 small instances; nothing is densified in production paths.
 
 The aux gauge is not a tensor of its own but `_GaugedTensor`, a view whose
-`apply` rescales the base contraction.
+`apply` rescales the base contraction. Nor is the composition construction:
+`_CompositionTensor` contracts with its input's rows, once per size, and
+builds `alternative_uniformization` only for its `entries`.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ import numpy as np
 
 from .errors import DataError
 from .hypergraph import Hypergraph, Support, _fresh_label
+from .uniformize import (_alpha, _check_composable, _check_max_order, _compositions,
+                         alternative_uniformization)
 
 NORMS = ("l1", "l2", "none")
-
-_MAX_ORDER = 20  # factorial-based arrangement counts; no real dataset gets close
 
 
 def _norm_value(values: np.ndarray, norm: str) -> float:
@@ -95,10 +97,18 @@ def _arrangements(order: int, mults: tuple[int, ...], k: int) -> int:
     return count
 
 
-def _check_max_order(order: int) -> None:
-    """Refuse orders whose arrangement counts the kernels do not support."""
-    if order > _MAX_ORDER:
-        raise DataError(f"tensor order {order} exceeds supported {_MAX_ORDER}")
+def _pattern(order: int, mults: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
+    """A multiplicity pattern's arrangement count for each of its columns,
+    as floats, and each column's leave-one-out factor sequence: the column
+    repeated mult - 1 times, then every other column l repeated mults[l]
+    times, in support order."""
+    counts = np.array([_arrangements(order, mults, j) for j in range(len(mults))],
+                      dtype=float)
+    sequences = tuple(
+        (j,) * (mults[j] - 1)
+        + tuple(l for l, c in enumerate(mults) if l != j for _ in range(c))
+        for j in range(len(mults)))
+    return counts, sequences
 
 
 class UniformTensor:
@@ -138,9 +148,8 @@ class UniformTensor:
 
         One kernel per pattern: its rows cut to their distinct nodes; their
         flattened cells (a view of `lead`); weight times arrangement count
-        for every cell; and, per column j, the factor sequence of its
-        leave-one-out product: j repeated mult_j - 1 times, then every other
-        column l repeated mult_l times, in support order.
+        for every cell; and the leave-one-out factor sequence of each column
+        (`_pattern`).
         """
         m = self.order
         rows, weight = self.hypergraph.blocks[m]
@@ -158,13 +167,8 @@ class UniformTensor:
         lead = np.concatenate([r.ravel() for r, _, _ in groups])
         kernels, stop = [], 0
         for r, w, distinct in groups:
-            mults = tuple(np.diff(np.r_[np.flatnonzero(distinct), m]).tolist())
-            counts = np.array([_arrangements(m, mults, j) for j in range(len(mults))],
-                              dtype=float)
-            sequences = tuple(
-                (j,) * (mults[j] - 1)
-                + tuple(l for l, c in enumerate(mults) if l != j for _ in range(c))
-                for j in range(len(mults)))
+            counts, sequences = _pattern(
+                m, tuple(np.diff(np.r_[np.flatnonzero(distinct), m]).tolist()))
             start, stop = stop, stop + r.size
             kernels.append((r, lead[start:stop], w[:, None] * counts, sequences))
         return lead, tuple(kernels)
@@ -175,16 +179,70 @@ def from_hypergraph(h: Hypergraph) -> UniformTensor:
     return UniformTensor(h)
 
 
+class _CompositionTensor:
+    """The tensor of `alternative_uniformization(g, m)` without building it,
+    with g as its `hypergraph`: order m on g's n indices, weakly irreducible
+    exactly when g is connected. It refuses what the construction refuses,
+    with the same messages.
+
+    A size-s row r and a composition c of m into s parts make the row that
+    repeats r[j] c[j] times: its distinct nodes are r and its multiplicity
+    pattern is c. So the materialized tensor's kernels are one per
+    (size, composition), on that size's rows in their order, with the
+    coefficients (w * s / alpha(m, s)) times c's arrangement counts; all
+    compositions of a size share one copy of its rows and their cells.
+    """
+
+    def __init__(self, g: Hypergraph, m: int):
+        _check_composable(g, m)
+        if not g.blocks:
+            raise DataError("cannot build a tensor from an edgeless hypergraph")
+        self.hypergraph = g
+        self.order = m
+        self.dim = g.n
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Support, float], ...]:
+        """The entries of the materialized tensor (built for verification)."""
+        return UniformTensor(alternative_uniformization(self.hypergraph, self.order)).entries
+
+    @cached_property
+    def _apply_arrays(self):
+        """(None, kernels): `UniformTensor._apply_arrays`'s kernels of the
+        materialized tensor, in its order, which sorts the patterns by their
+        run-start masks, False first. No single `lead` array holds the cells:
+        each size's cells are a view of its rows. Rows that are all of size
+        m are one all-distinct pattern and stay as they are; otherwise each
+        size's rows are copied column-major once, as the materialized cut
+        copies each pattern's rows.
+        """
+        m, blocks = self.order, self.hypergraph.blocks
+        all_distinct = list(blocks) == [m]
+        patterns = []
+        for s, (rows, weight) in blocks.items():
+            shared = (rows if all_distinct else np.asfortranarray(rows), rows.ravel(),
+                      weight * s / _alpha(m, s))
+            for comp in _compositions(m, s):
+                starts = np.zeros(m, dtype=bool)
+                starts[np.cumsum((0,) + comp[:-1])] = True
+                patterns.append((tuple(starts.tolist()), comp, shared))
+        kernels = []
+        for _, comp, (rows, cells, value) in sorted(patterns, key=lambda p: p[0]):
+            counts, sequences = _pattern(m, comp)
+            kernels.append((rows, cells, value[:, None] * counts, sequences))
+        return None, tuple(kernels)
+
+
 class _GaugedTensor:
     """The aux-gauged view over the tensor t of an m-uniform hypergraph g:
     the tensor of `uplift(g, m + 1)` without building it. It has order m+1
-    on `dim` n+1 indices, the star last, and its `hypergraph` is g: the star
-    joins every row, so the gauged tensor is weakly irreducible whenever g
-    is connected, which every pipeline requires. `labels` and `aux_indices`
-    are those of the uplift.
+    on `dim` n+1 indices, the star last, and its `hypergraph` is g (for a
+    `_CompositionTensor`, its projection): the star joins every row, so the
+    gauged tensor is weakly irreducible whenever g is connected, which every
+    pipeline requires. `labels` and `aux_indices` are those of the uplift.
     """
 
-    def __init__(self, t: UniformTensor):
+    def __init__(self, t: Union[UniformTensor, _CompositionTensor]):
         _check_max_order(t.order + 1)
         h = t.hypergraph
         self.base = t
@@ -210,7 +268,8 @@ def _contraction(t):
     """`apply` on t as a function of a float vector of length t.dim. Each
     kernel's gather and term buffers are allocated here, once, and refilled
     on every call by the multiplications of a fresh contraction, in their
-    order, so every result is bit-identical to one. A solver builds one
+    order, so every result is bit-identical to one. Kernels on one rows
+    array (a composition view's) share its gather. A solver builds one
     contraction per solve: no two threads share buffers (numpy releases the
     GIL inside `take` and `multiply`).
     """
@@ -219,26 +278,28 @@ def _contraction(t):
     arrays = t._apply_arrays[1]
     # products of 3 or more factors build up here, one kernel at a time
     scratch = np.empty(max(len(rows) for rows, _, _, _ in arrays))
-    kernels = []
+    gathers, gathered, kernels = [], {}, []
     for rows, cells, coef, sequences in arrays:
         terms = np.empty(coef.shape)
         if len(sequences[0]) == 1:  # order 2: each term is one gathered factor
-            index = rows[:, [seq[0] for seq in sequences]].ravel()
-            gathered, xr, sequences = terms.ravel(), None, ()
+            gathers.append((rows[:, [seq[0] for seq in sequences]].ravel(), terms.ravel()))
+            xr, sequences = None, ()
+        elif id(rows) in gathered:
+            xr = gathered[id(rows)]
         else:  # gather in the rows' own layout, as `vec[rows]` does: a
             # column-major kernel's products then read contiguous columns
             layout = "F" if np.isfortran(rows) else "C"
-            xr = np.empty(rows.shape, order=layout)
-            index, gathered = rows.ravel(layout), xr.ravel(layout)
-        kernels.append((index, gathered, xr, cells, coef, sequences, terms,
-                        scratch[:len(rows)]))
+            xr = gathered[id(rows)] = np.empty(rows.shape, order=layout)
+            gathers.append((rows.ravel(layout), xr.ravel(layout)))
+        kernels.append((xr, cells, coef, sequences, terms, scratch[:len(rows)]))
 
     def contract(vec: np.ndarray) -> np.ndarray:
+        # the rows were range-checked when their hypergraph was built;
+        # under mode="raise" numpy gathers into a temporary, then copies
+        for index, out in gathers:
+            np.take(vec, index, out=out, mode="clip")
         y = np.zeros(dim)
-        for index, gathered, xr, cells, coef, sequences, terms, partial in kernels:
-            # the rows were range-checked when their hypergraph was built;
-            # under mode="raise" numpy gathers into a temporary, then copies
-            np.take(vec, index, out=gathered, mode="clip")
+        for xr, cells, coef, sequences, terms, partial in kernels:
             for j, (first, *rest) in enumerate(sequences):
                 # only a product's last step writes its strided column
                 product = xr[:, first]

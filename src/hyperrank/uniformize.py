@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import DataError
 from .hypergraph import AuxSpec, Hypergraph, _fresh_label, _hand_on_connected, merge_rows
-from .tensor import _check_max_order
 
 __all__ = [
     "BuildCounter",
@@ -49,6 +48,8 @@ __all__ = [
 # may repeat; larger requests fail before allocating anything.
 MAX_PROJECTED_ROWS = 20_000_000
 
+_MAX_ORDER = 20  # factorial-based arrangement counts; no real dataset gets close
+
 
 @dataclass
 class BuildCounter:
@@ -66,6 +67,12 @@ def star_factor(m: int, s: int) -> float:
     """Weight multiplier for a size-s edge padded up to order m."""
     m_star = m - s
     return (m_star * math.factorial(m - m_star)) / math.factorial(m)
+
+
+def _check_max_order(order: int) -> None:
+    """Refuse orders whose arrangement counts the tensor kernels do not support."""
+    if order > _MAX_ORDER:
+        raise DataError(f"tensor order {order} exceeds supported {_MAX_ORDER}")
 
 
 def _check_order(h: Hypergraph, m: int, verb: str) -> None:
@@ -229,23 +236,32 @@ def _alpha(m: int, s: int) -> int:
     return total
 
 
+def _check_composable(h: Hypergraph, m: int) -> None:
+    """The refusals of the composition construction at order m, in order:
+    an order below the largest edge, too many composition rows, an order
+    above the cap, and rows that repeat a node."""
+    _check_order(h, m, "uniformize")
+    _composition_rows(h.edge_sizes(), m)
+    _check_max_order(m)
+    for r, _ in h.blocks.values():
+        _require_simple(r, "alternative uniformization")
+
+
 def alternative_uniformization(h: Hypergraph, m: int) -> Hypergraph:
     """Uniformize by index duplication: a size-s edge becomes every multiset
     over its nodes with all multiplicities >= 1 summing to m, each entry
     valued at weight * s / alpha with alpha the total arrangement count. No
     rows merge: sorted, distinct input rows (as ingest and `project` emit)
     give sorted, distinct rows, one chunk per (size, composition) pattern.
+    Solvers do not build it: `tensor._CompositionTensor` is its tensor as a
+    view of h.
     """
-    _check_order(h, m, "uniformize")
-    _composition_rows(h.edge_sizes(), m)
-    _check_max_order(m)
+    _check_composable(h, m)
     rows, weights = [], []
     for s, (r, w) in h.blocks.items():
-        _require_simple(r, "alternative uniformization")
         value = w * s / _alpha(m, s)
         for comp in _compositions(m, s):
             rows.append(np.repeat(r, comp, axis=1))
             weights.append(value)
     blocks = {m: (np.concatenate(rows), np.concatenate(weights))} if rows else {}
     return _hand_on_connected(h, Hypergraph(h.n, labels=h.labels, aux=h.aux, blocks=blocks))
-

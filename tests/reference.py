@@ -8,10 +8,10 @@ Z-eigenpair scan edge by edge. They read hypergraphs through the
 `Hypergraph.edges` view only, and build them through `hypergraph` below, so
 they share no code with the kernels under test; `merge_rows` here is the
 plain lexsort merge that the package packs into one key where it can. The
-rank sweep at the end is the one-pair-at-a-time
-form of the batched sweep in `rankcmp`; it shares only `_tau_b`, the scalar
-formula, with it. `stats` scans the edges and finds each order's components
-with scipy.
+rank sweep at the end is the one-pair-at-a-time form of the batched sweep
+in `rankcmp`, with `_tau_b`, the scalar formula on exact Python ints, in
+place of its array form. `stats` scans the edges and finds each order's
+components with scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import hyperrank as hr
 from hyperrank.hypergraph import (HypergraphStats, OrderStats, _check_weights,
                                   _distinct_labels, _fresh_label, _label_sort_key,
                                   sort_labels)
-from hyperrank.rankcmp import _tau_b
 from hyperrank.uniformize import _alpha, _compositions, star_factor
 
 
@@ -415,6 +414,17 @@ def z_via_uplift(h: hr.Hypergraph, norm: str) -> tuple[np.ndarray, float]:
 
 
 # ---- rank sweep --------------------------------------------------------
+
+def _tau_b(n: int, ties_a: int, ties_b: int, ties_ab: int, discordant: int) -> float:
+    """Tau-b of one prefix's pair counts, NaN when a column is fully tied."""
+    n0 = n * (n - 1) // 2
+    numerator = n0 - ties_a - ties_b + ties_ab - 2 * discordant
+    # one sqrt of the exact Python-int product keeps the +/-1 cases exact
+    denom = math.sqrt((n0 - ties_a) * (n0 - ties_b))
+    if denom == 0:
+        return float("nan")
+    return numerator / denom
+
 
 def _run_offsets(starts: np.ndarray) -> np.ndarray:
     pos = np.arange(starts.size)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import hyperrank as hr
 import reference
 from hyperrank.hypergraph import _edge_blocks, merge_rows
-from hyperrank.tensor import _contraction, _GaugedTensor
+from hyperrank.tensor import _CompositionTensor, _contraction, _GaugedTensor
 from hyperrank.uniformize import MAX_PROJECTED_ROWS, _composition_rows, projected_rows
 from oracles import dense_apply
 
@@ -175,6 +175,55 @@ class TestContractionBuffers:
                 x = xrng.uniform(0.5, 1.5, t.dim)
                 want = fresh_contraction(t, x).view(np.int64)
                 assert np.array_equal(contract(x).view(np.int64), want)
+
+
+class TestCompositionView:
+    @given(hypergraphs(), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_view_is_the_materialized_tensor_bit_for_bit(self, h, gauged, data):
+        # the view's kernels, a solver contraction over 3 successive vectors,
+        # `apply` and the entries are those of the materialized ALT tensor
+        m = data.draw(st.integers(max(2, h.max_size - 2), 7))
+        g = hr.project(h, m)
+        view = _CompositionTensor(g, m)
+        want = hr.from_hypergraph(hr.alternative_uniformization(g, m))
+        assert view.hypergraph is g
+        assert (view.order, view.dim) == (want.order, want.dim)
+        for (rows, cells, coef, seq), (w_rows, w_cells, w_coef, w_seq) in zip(
+                view._apply_arrays[1], want._apply_arrays[1], strict=True):
+            assert np.array_equal(rows, w_rows) and np.array_equal(cells, w_cells)
+            assert (coef.tobytes(), seq) == (w_coef.tobytes(), w_seq)
+        if gauged:
+            view, want = _GaugedTensor(view), _GaugedTensor(want)
+            assert view.hypergraph is g
+        contract = _contraction(view)
+        xrng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for _ in range(3):
+            x = xrng.uniform(0.5, 1.5, view.dim)
+            expected = fresh_contraction(want, x).view(np.int64)
+            assert np.array_equal(contract(x).view(np.int64), expected)
+            assert np.array_equal(hr.apply(view, x).view(np.int64), expected)
+        with mock.patch.object(np, "take", wraps=np.take) as take:
+            contract(x)
+        assert take.call_count == len(g.blocks)  # one gather per size
+        assert view.entries == want.entries
+
+    @pytest.mark.parametrize("h, m, message", [
+        # 217 rows of size 10 make C(19, 9) = 92,378 composition rows each
+        (hr.Hypergraph(217 * 9 + 1, blocks={10: (
+            np.arange(10) + 9 * np.arange(217)[:, None], np.ones(217))}), 20,
+         "uniformizing to order 20 would generate 20046026 composition rows"),
+        (hr.Hypergraph(3, blocks={3: (np.array([[0, 0, 1], [0, 1, 2]]), np.ones(2))}), 4,
+         "alternative uniformization requires simple \\(set\\) hyperedges"),
+        (hr.Hypergraph.from_edge_list([[0, 1], [1, 2]]), 21,
+         "tensor order 21 exceeds supported 20"),
+    ])
+    def test_alt_refuses_as_the_materialized_construction(self, h, m, message):
+        # the view runs the construction's refusals, with its messages
+        for build in (lambda: hr.alternative_uniformization(hr.project(h, m), m),
+                      lambda: hr.alt_centrality(h, m)):
+            with pytest.raises(hr.DataError, match=message):
+                build()
 
 
 class TestPipelinesMatchReference:
@@ -397,6 +446,23 @@ class TestIngestKernel:
         assert spelled(*got) == spelled(*reference.merge_rows(rows, weight))
         packs = s * bits <= 63 and (extreme is None or (extreme == INT64.max and s == 1))
         assert lexsort.called != packs
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_heavy_duplicates_sum_in_input_order(self, s, data):
+        # a few distinct rows repeated many times, with weights spanning
+        # 10^-5 to 10^5: whatever order the key sort leaves equal rows in,
+        # each merged weight is the reference's input-order sum to the bit
+        pool = np.array(data.draw(st.lists(st.lists(st.integers(0, 9), min_size=s,
+                                                    max_size=s),
+                                           min_size=1, max_size=4)), dtype=np.int64)
+        rows = pool[data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=2,
+                                       max_size=200))]
+        weight = np.array(data.draw(st.lists(
+            st.floats(1e-5, 1e5, allow_nan=False).filter(lambda w: w != int(w)),
+            min_size=len(rows), max_size=len(rows))))
+        assert spelled(*merge_rows(rows, weight)) == \
+            spelled(*reference.merge_rows(rows, weight))
 
     @given(st.lists(st.tuples(st.lists(st.one_of(st.integers(0, 5), st.sampled_from(
         [INT64.min, -1, INT64.max])), max_size=6), ORDERED_WEIGHTS), max_size=12),

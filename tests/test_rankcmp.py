@@ -319,6 +319,59 @@ class TestOneSweepExactness:
         assert curve[0][0] >= 1000 and curve[-1][0] == n
 
 
+# n(n-1)/2 stays below 2^53 up to n = 2^27
+_N_MAX = 2**27
+
+
+@st.composite
+def _pair_counts(draw):
+    """(n, ties_a, ties_b, ties_ab, discordant) of a consistent tie structure:
+    the pairs tied in neither column number at least the discordant ones.
+    Fully tied columns (zero denominators) and +/-1 come up often."""
+    n = draw(st.one_of(st.integers(2, 50), st.integers(2, _N_MAX), st.just(_N_MAX)))
+    n0 = n * (n - 1) // 2
+    ties_ab = draw(st.one_of(st.just(0), st.just(n0), st.integers(0, n0)))
+    only_a = draw(st.one_of(st.just(0), st.integers(0, n0 - ties_ab)))
+    only_b = draw(st.one_of(st.just(0), st.integers(0, n0 - ties_ab - only_a)))
+    untied = n0 - ties_ab - only_a - only_b
+    discordant = draw(st.one_of(st.just(0), st.just(untied), st.integers(0, untied)))
+    return n, ties_ab + only_a, ties_ab + only_b, ties_ab, discordant
+
+
+class TestTauFormula:
+    @given(st.lists(_pair_counts(), min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_array_form_equals_exact_int_formula(self, counts):
+        # every value, NaN included, is the scalar formula's to the bit
+        got = rankcmp._tau_b(*np.array(counts, dtype=np.int64).T)
+        want = np.array([reference._tau_b(*c) for c in counts])
+        assert got.tobytes() == want.tobytes()
+
+    def test_extremes(self):
+        n = _N_MAX
+        n0 = n * (n - 1) // 2
+        assert n0 < 2**53
+        counts = [(n, 0, 0, 0, 0), (n, 0, 0, 0, n0), (n, n0, 0, 0, 0), (n, n0, n0, n0, 0),
+                  (2, 0, 0, 0, 0), (2, 0, 0, 0, 1), (2, 1, 1, 1, 0)]
+        got = rankcmp._tau_b(*np.array(counts, dtype=np.int64).T)
+        assert got[:2].tolist() == [1.0, -1.0] and got[4:6].tolist() == [1.0, -1.0]
+        assert np.isnan(got[[2, 3, 6]]).all()
+
+
+class TestEarlierCounts:
+    @pytest.mark.parametrize("n", sorted(
+        {1, 2, 3} | {v for k in range(2, 8) for v in (2**k - 1, 2**k, 2**k + 1)}))
+    def test_rows_equal_the_one_column_sweep(self, n):
+        # batched rows of few and many ties, each equal to its own sweep
+        rng = np.random.default_rng(n)
+        rank = np.stack([rng.integers(0, top, n) for top in (1, 2, max(1, n // 3), n, n)])
+        lower, equal = rankcmp._earlier_counts(rank)
+        for row, got_lower, got_equal in zip(rank, lower, equal):
+            want_lower, want_equal = reference._earlier_counts(row)
+            assert got_lower.tolist() == want_lower.tolist()
+            assert got_equal.tolist() == want_equal.tolist()
+
+
 class TestCurveFilter:
     def test_single_curve_kept(self):
         curves = {("U2", "U3"): [(10, 0.5), (20, 0.6)]}

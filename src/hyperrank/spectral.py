@@ -29,7 +29,7 @@ from .hypergraph import (AuxSpec, Hypergraph, _distinct_labels, component_roots,
                          is_strongly_connected)
 from .tensor import (ScoreVector, UniformTensor, _as_array, _CompositionTensor,
                      _contraction, _GaugedTensor, _norm_value, apply, from_hypergraph)
-from .uniformize import _check_max_order, project, uplift, uplift_project
+from .uniformize import MAX_PROJECTED_ROWS, _check_max_order, project, uplift, uplift_project
 
 __all__ = [
     "SolverOptions",
@@ -403,6 +403,10 @@ def z_via_uplift(h: Hypergraph, norm: str) -> ZEigenpair:
     n_g = len(real)
     if n_g < 2:
         raise DataError("underlying pairwise graph needs at least 2 nodes")
+    if n_g * n_g > MAX_PROJECTED_ROWS:  # the dense adjacency matrix eigh solves
+        raise DataError(
+            f"the dense eigensolver would hold {n_g * n_g} cells for {n_g} graph "
+            f"nodes, above the limit of {MAX_PROJECTED_ROWS}")
 
     rows, weight = h.blocks[h.max_size]
     pairs = (np.cumsum(~is_aux) - 1)[rows[~is_aux[rows]]].reshape(-1, 2)

@@ -8,9 +8,9 @@ when that hypergraph is connected. Each row adds its weight to the entry
 whose support is the row's multiset of nodes. The represented array has an
 entry's value at every index tuple whose multiset of indices equals its
 support, so an uplifted edge costs one row with its auxiliary node as
-one more column. `apply` groups the rows by multiplicity pattern on first
-use and allocates its work arrays per call; the power method contracts into
-arrays it allocates once per solve (`_contraction`). The read-only
+one more column. `_kernels` builds every tensor's contraction kernels, on
+arrays the tensor owns, on first use; `apply` allocates its work arrays per
+call, the power method once per solve (`_contraction`). The read-only
 `UniformTensor.entries` view lists the (support, value) pairs on demand for
 `flattening_matrix` and `dense_oracle`, which exist for cross-checking on
 small instances; nothing is densified in production paths.
@@ -31,9 +31,9 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import DataError
-from .hypergraph import Hypergraph, Support, _fresh_label
+from .hypergraph import Hypergraph, Support
 from .uniformize import (_alpha, _check_composable, _check_max_order, _compositions,
-                         alternative_uniformization)
+                         _starred, alternative_uniformization)
 
 NORMS = ("l1", "l2", "none")
 
@@ -97,18 +97,30 @@ def _arrangements(order: int, mults: tuple[int, ...], k: int) -> int:
     return count
 
 
-def _pattern(order: int, mults: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
-    """A multiplicity pattern's arrangement count for each of its columns,
-    as floats, and each column's leave-one-out factor sequence: the column
-    repeated mult - 1 times, then every other column l repeated mults[l]
-    times, in support order."""
-    counts = np.array([_arrangements(order, mults, j) for j in range(len(mults))],
-                      dtype=float)
-    sequences = tuple(
-        (j,) * (mults[j] - 1)
-        + tuple(l for l, c in enumerate(mults) if l != j for _ in range(c))
-        for j in range(len(mults)))
-    return counts, sequences
+def _kernels(m: int, groups) -> tuple:
+    """The contraction kernels of an order-m tensor from its groups
+    (run-start mask, rows, cells, value): a group holds the rows of one
+    multiplicity pattern, whose mask marks the columns that start a run,
+    cut to their distinct nodes, and its cells are those rows flattened
+    row-major. One kernel per group, sorted by mask, False first: its rows;
+    its cells; value times the pattern's arrangement count for every cell;
+    and each column's leave-one-out factor sequence, the column repeated
+    mult - 1 times, then every other column l repeated mults[l] times.
+
+    Callers pass rows and cells that they own, writable: numpy copies a
+    read-only `take` index or `bincount` input on every call.
+    """
+    kernels = []
+    for starts, rows, cells, value in sorted(groups, key=lambda g: g[0]):
+        mults = tuple(np.diff(np.r_[np.flatnonzero(starts), m]).tolist())
+        counts = np.array([_arrangements(m, mults, j) for j in range(len(mults))],
+                          dtype=float)
+        sequences = tuple(
+            (j,) * (mults[j] - 1)
+            + tuple(l for l, c in enumerate(mults) if l != j for _ in range(c))
+            for j in range(len(mults)))
+        kernels.append((rows, cells, value[:, None] * counts, sequences))
+    return tuple(kernels)
 
 
 class UniformTensor:
@@ -141,37 +153,26 @@ class UniformTensor:
 
     @cached_property
     def _apply_arrays(self):
-        """(lead, kernels): the hypergraph's rows grouped by multiplicity
-        pattern, in pattern order, each group's rows in their order. lead
-        lists the node of every (row, distinct node) cell, group by group,
-        so its length is the cell count.
-
-        One kernel per pattern: its rows cut to their distinct nodes; their
-        flattened cells (a view of `lead`); weight times arrangement count
-        for every cell; and the leave-one-out factor sequence of each column
-        (`_pattern`).
-        """
+        """`_kernels` of the hypergraph's rows grouped by multiplicity
+        pattern, each group's rows in their order and cut to their distinct
+        nodes."""
         m = self.order
         rows, weight = self.hypergraph.blocks[m]
         starts = np.ones(rows.shape, dtype=bool)
         starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
-        if starts.all():  # one all-distinct pattern: the rows as they are
-            groups = [(rows, weight, starts[0])]
-        else:  # a stable sort keeps each pattern's rows in their order; numpy
-            # cuts them column-major, which keeps `apply`'s column products fast
-            order = np.lexsort(starts.T[::-1])
-            starts = starts[order]
-            first = np.flatnonzero(np.r_[True, (starts[1:] != starts[:-1]).any(axis=1)])
-            groups = [(rows[sel][:, starts[a]], weight[sel], starts[a])
-                      for a, sel in zip(first, np.split(order, first[1:]))]
-        lead = np.concatenate([r.ravel() for r, _, _ in groups])
-        kernels, stop = [], 0
-        for r, w, distinct in groups:
-            counts, sequences = _pattern(
-                m, tuple(np.diff(np.r_[np.flatnonzero(distinct), m]).tolist()))
-            start, stop = stop, stop + r.size
-            kernels.append((r, lead[start:stop], w[:, None] * counts, sequences))
-        return lead, tuple(kernels)
+        if starts.all():  # one all-distinct pattern: one owned copy of the rows
+            rows = rows.copy()
+            return _kernels(m, [((True,) * m, rows, rows.ravel(), weight)])
+        # a stable sort keeps each pattern's rows in their order; numpy cuts
+        # them column-major, which keeps `apply`'s column products fast
+        order = np.lexsort(starts.T[::-1])
+        starts = starts[order]
+        first = np.flatnonzero(np.r_[True, (starts[1:] != starts[:-1]).any(axis=1)])
+        groups = []
+        for a, sel in zip(first, np.split(order, first[1:])):
+            cut = rows[sel][:, starts[a]]
+            groups.append((tuple(starts[a].tolist()), cut, cut.ravel(), weight[sel]))
+        return _kernels(m, groups)
 
 
 def from_hypergraph(h: Hypergraph) -> UniformTensor:
@@ -189,8 +190,7 @@ class _CompositionTensor:
     repeats r[j] c[j] times: its distinct nodes are r and its multiplicity
     pattern is c. So the materialized tensor's kernels are one per
     (size, composition), on that size's rows in their order, with the
-    coefficients (w * s / alpha(m, s)) times c's arrangement counts; all
-    compositions of a size share one copy of its rows and their cells.
+    coefficients (w * s / alpha(m, s)) times c's arrangement counts.
     """
 
     def __init__(self, g: Hypergraph, m: int):
@@ -208,29 +208,23 @@ class _CompositionTensor:
 
     @cached_property
     def _apply_arrays(self):
-        """(None, kernels): `UniformTensor._apply_arrays`'s kernels of the
-        materialized tensor, in its order, which sorts the patterns by their
-        run-start masks, False first. No single `lead` array holds the cells:
-        each size's cells are a view of its rows. Rows that are all of size
-        m are one all-distinct pattern and stay as they are; otherwise each
-        size's rows are copied column-major once, as the materialized cut
-        copies each pattern's rows.
+        """`_kernels` of the materialized tensor, one group per (size,
+        composition). Each size's compositions share one column-major copy
+        of its rows, as the materialized cut copies each pattern's rows, and
+        one row-major copy for the cells; rows that are all of size m are
+        one all-distinct pattern, whose one C copy serves as both.
         """
         m, blocks = self.order, self.hypergraph.blocks
-        all_distinct = list(blocks) == [m]
-        patterns = []
+        layout = "C" if list(blocks) == [m] else "F"
+        groups = []
         for s, (rows, weight) in blocks.items():
-            shared = (rows if all_distinct else np.asfortranarray(rows), rows.ravel(),
-                      weight * s / _alpha(m, s))
+            rows = np.array(rows, order=layout)
+            cells, value = rows.ravel(), weight * s / _alpha(m, s)
             for comp in _compositions(m, s):
                 starts = np.zeros(m, dtype=bool)
                 starts[np.cumsum((0,) + comp[:-1])] = True
-                patterns.append((tuple(starts.tolist()), comp, shared))
-        kernels = []
-        for _, comp, (rows, cells, value) in sorted(patterns, key=lambda p: p[0]):
-            counts, sequences = _pattern(m, comp)
-            kernels.append((rows, cells, value[:, None] * counts, sequences))
-        return None, tuple(kernels)
+                groups.append((tuple(starts.tolist()), rows, cells, value))
+        return _kernels(m, groups)
 
 
 class _GaugedTensor:
@@ -249,19 +243,14 @@ class _GaugedTensor:
         self.hypergraph = h
         self.order = t.order + 1
         self.dim = t.dim + 1
-        self.labels = h.labels + (_fresh_label(set(h.labels), "*"),)
-        self.aux_indices = h.aux.nodes + (h.n,)
+        self.labels, aux = _starred(h)
+        self.aux_indices = aux.nodes
 
     @cached_property
     def entries(self) -> tuple[tuple[Support, float], ...]:
         """The base entries with the star appended once, value / (m+1)."""
         star = ((self.dim - 1, 1),)
         return tuple((s + star, v / self.order) for s, v in self.base.entries)
-
-    @cached_property
-    def _apply_arrays(self):
-        """The base tensor's rows: the star adds none."""
-        return self.base._apply_arrays
 
 
 def _contraction(t):
@@ -275,7 +264,7 @@ def _contraction(t):
     """
     gauged = isinstance(t, _GaugedTensor)
     dim = t.dim - 1 if gauged else t.dim
-    arrays = t._apply_arrays[1]
+    arrays = (t.base if gauged else t)._apply_arrays
     # products of 3 or more factors build up here, one kernel at a time
     scratch = np.empty(max(len(rows) for rows, _, _, _ in arrays))
     gathers, gathered, kernels = [], {}, []
@@ -317,7 +306,10 @@ def _contraction(t):
     def contract_gauged(vec: np.ndarray) -> np.ndarray:
         real = vec[:-1]
         z = contract(real)
-        return np.append(m / (m + 1) * vec[-1] * z, (real * z).sum() / (m + 1))
+        y = np.empty(dim + 1)
+        np.multiply(m / (m + 1) * vec[-1], z, out=y[:-1])
+        y[-1] = (real * z).sum() / (m + 1)
+        return y
 
     return contract_gauged
 

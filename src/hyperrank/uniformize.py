@@ -85,6 +85,13 @@ def _require_simple(rows: np.ndarray, what: str) -> None:
         raise DataError(f"{what} requires simple (set) hyperedges")
 
 
+def _starred(h: Hypergraph) -> tuple[tuple, AuxSpec]:
+    """The labels and aux spec of h with one shared auxiliary node, the
+    star, appended as index h.n: those of every uplift that pads an edge."""
+    return (h.labels + (_fresh_label(set(h.labels), "*"),),
+            AuxSpec(h.aux.nodes + (h.n,), h.aux.multiplicities + (None,)))
+
+
 def uplift(h: Hypergraph, m: int, counter: BuildCounter | None = None) -> Hypergraph:
     """Pad every hyperedge below size m with a shared auxiliary node.
 
@@ -106,9 +113,9 @@ def uplift(h: Hypergraph, m: int, counter: BuildCounter | None = None) -> Hyperg
             w = w * star_factor(m, s)
         rows.append(r)
         weights.append(w)
-    aux = AuxSpec(h.aux.nodes + (star,), h.aux.multiplicities + (None,))
+    labels, aux = _starred(h)
     return _hand_on_connected(h, Hypergraph(
-        h.n + 1, labels=h.labels + (_fresh_label(set(h.labels), "*"),), aux=aux,
+        h.n + 1, labels=labels, aux=aux,
         blocks={m: (np.concatenate(rows), np.concatenate(weights))}))
 
 

@@ -333,6 +333,17 @@ class TestExitCodes:
         assert code == 2
         assert err == "data error: tensor order 202 exceeds supported 20\n"
 
+    def test_zec_uplift_graph_too_large_for_the_dense_solver(self, tmp_path, capsys):
+        # a path on 4,473 nodes, each pair padded by node 0
+        simplices = [v for i in range(1, 4473) for v in (0, i, i + 1)]
+        prefix = write_dataset(tmp_path, [3] * 4472, simplices)
+        code = main(["centrality", "--method", "zec-uplift", "--input", prefix,
+                     "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("data error: the dense eigensolver would hold 20007729 cells "
+                       "for 4473 graph nodes, above the limit of 20000000\n")
+
     @pytest.mark.parametrize("command", ["centrality", "compare"])
     @pytest.mark.parametrize("setting, message", [
         (["--max-iter", "0"], "max_iter"),

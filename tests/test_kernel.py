@@ -57,7 +57,7 @@ def kernel_mults(t):
     """The multiplicity pattern of each apply kernel of `t`: column j's
     leave-one-out factor sequence holds j mult_j - 1 times."""
     return [tuple(seq.count(j) + 1 for j, seq in enumerate(sequences))
-            for _, _, _, sequences in t._apply_arrays[1]]
+            for _, _, _, sequences in t._apply_arrays]
 
 
 class TestTensorKernel:
@@ -74,7 +74,8 @@ class TestTensorKernel:
         assert g.aux == ref.aux
         t = hr.from_hypergraph(g)
         assert (t.order, t.dim) == (ref.max_size, ref.n)
-        assert len(t._apply_arrays[0]) == sum(len(s) for s, _ in t.entries)
+        assert sum(cells.size for _, cells, _, _ in t._apply_arrays) == \
+            sum(len(s) for s, _ in t.entries)
 
         want = reference.tensor_entries(ref)
         assert len(t.entries) == len(want)
@@ -134,12 +135,11 @@ class TestTensorKernel:
 def fresh_contraction(t, vec):
     """`reference.contract_kernels` on t, with the aux gauge's rescaling of
     the base contraction when t is the gauged view."""
-    kernels = t._apply_arrays[1]
     if isinstance(t, _GaugedTensor):
-        m, real = t.base.order, vec[:-1]
+        kernels, m, real = t.base._apply_arrays, t.base.order, vec[:-1]
         z = reference.contract_kernels(kernels, real, t.dim - 1)
         return np.append(m / (m + 1) * vec[-1] * z, (real * z).sum() / (m + 1))
-    return reference.contract_kernels(kernels, vec, t.dim)
+    return reference.contract_kernels(t._apply_arrays, vec, t.dim)
 
 
 class TestContractionBuffers:
@@ -190,7 +190,7 @@ class TestCompositionView:
         assert view.hypergraph is g
         assert (view.order, view.dim) == (want.order, want.dim)
         for (rows, cells, coef, seq), (w_rows, w_cells, w_coef, w_seq) in zip(
-                view._apply_arrays[1], want._apply_arrays[1], strict=True):
+                view._apply_arrays, want._apply_arrays, strict=True):
             assert np.array_equal(rows, w_rows) and np.array_equal(cells, w_cells)
             assert (coef.tobytes(), seq) == (w_coef.tobytes(), w_seq)
         if gauged:
@@ -224,6 +224,38 @@ class TestCompositionView:
                       lambda: hr.alt_centrality(h, m)):
             with pytest.raises(hr.DataError, match=message):
                 build()
+
+
+class TestKernelOwnership:
+    @given(hypergraphs(), st.sampled_from(["project", "uplift", "uplift_project", "alt"]),
+           st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_contraction_reads_only_arrays_its_tensor_owns(self, h, kind, gauged, data):
+        # numpy copies a read-only `take` index or `bincount` input on every
+        # call: every kernel's rows and cells are writable arrays that the
+        # tensor made, and the compositions of one size share them
+        if kind == "alt":
+            m = data.draw(st.integers(max(2, h.max_size - 2), 7))
+            t = _CompositionTensor(hr.project(h, m), m)
+        else:
+            m = data.draw(st.integers(2, h.max_size)) if kind == "uplift_project" \
+                else h.max_size
+            t = hr.from_hypergraph(build(h, kind, m, aux_gauge=False)[0])
+        kernels, by_size = t._apply_arrays, {}
+        for rows, cells, _, _ in kernels:
+            assert rows.flags.writeable and cells.flags.writeable
+            by_size.setdefault(rows.shape[1], set()).add((id(rows), id(cells)))
+        if kind == "alt":
+            assert all(len(arrays) == 1 for arrays in by_size.values())
+        if gauged:
+            t = _GaugedTensor(t)
+        contract = _contraction(t)
+        with mock.patch.object(np, "take", wraps=np.take) as take, \
+                mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+            contract(np.full(t.dim, 1.0 / t.dim))
+        assert all(call.args[1].flags.writeable for call in take.call_args_list)
+        assert all(call.args[0].flags.writeable for call in bincount.call_args_list)
+        assert bincount.call_count == len(kernels)
 
 
 class TestPipelinesMatchReference:
@@ -503,7 +535,7 @@ class TestMergeOnlyWhereRowsCollide:
         assert len(merged[0]) == len(rows)  # no two composition rows coincide
         want = hr.from_hypergraph(hr.Hypergraph(g.n, g.labels, g.aux, blocks={m: merged}))
         got = hr.from_hypergraph(g)
-        got, want = got._apply_arrays[1], want._apply_arrays[1]
+        got, want = got._apply_arrays, want._apply_arrays
         assert [k[3] for k in got] == [k[3] for k in want]  # the same patterns
         for a, b in zip(got, want):
             assert np.array_equal(a[0], b[0])

@@ -465,6 +465,13 @@ class TestZViaUplift:
         with pytest.raises(hr.DataError, match="tensor order 202 exceeds supported 20"):
             hr.z_via_uplift(h, "z1")
 
+    def test_refuses_graph_too_large_for_the_dense_solver(self):
+        # a path on 4,473 nodes padded by one star: 4,473^2 = 20,007,729 cells
+        path = hr.Hypergraph.from_edge_list([[i, i + 1] for i in range(4472)])
+        h = hr.multi_uplift(path, 3, (1,))
+        with pytest.raises(hr.DataError, match="would hold 20007729 cells"):
+            hr.z_via_uplift(h, "z1")
+
     def test_bad_norm_name(self, two_aux_uplift):
         with pytest.raises(hr.DataError):
             hr.z_via_uplift(two_aux_uplift, "l2")

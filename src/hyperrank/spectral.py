@@ -8,10 +8,8 @@ solves the order-m H-eigenproblem of the constructed tensor directly. With
 ``aux_gauge=True`` the solve runs on the tensor uplifted one more order, with
 the extra auxiliary component acting as the scale gauge; this is equivalent
 to the fixed point of ``lambda * c^[m] = T c^(m-1)`` and produces flatter
-score distributions. The gauge is applied as an operator on the constructed
-tensor with the same math, not built as a second hypergraph: the uplifted
-tensor's contraction is a scalar rescaling of the base one (see
-`tensor.apply`).
+score distributions. The uplift and the gauge are not built as hypergraphs:
+the solves run on `tensor._UpliftTensor`, which scales its parts' contractions.
 """
 
 from __future__ import annotations
@@ -28,8 +26,9 @@ from .errors import ConvergenceError, DataError
 from .hypergraph import (AuxSpec, Hypergraph, _distinct_labels, component_roots,
                          is_strongly_connected)
 from .tensor import (ScoreVector, UniformTensor, _as_array, _CompositionTensor,
-                     _contraction, _GaugedTensor, _norm_value, apply, from_hypergraph)
-from .uniformize import MAX_PROJECTED_ROWS, _check_max_order, project, uplift, uplift_project
+                     _contraction, _norm_value, _uplifted, _UpliftTensor, apply,
+                     from_hypergraph)
+from .uniformize import _check_max_order, _check_uplift_project, _row_budget, project
 
 __all__ = [
     "SolverOptions",
@@ -126,8 +125,9 @@ class EigenpairCheck:
 
 
 def _relative_residual(tx: np.ndarray, eigenvalue: float, rhs: np.ndarray) -> float:
-    """max |tx - eigenvalue * rhs| relative to |eigenvalue| (floored at 1e-300)."""
-    return float(np.max(np.abs(tx - eigenvalue * rhs)) / max(abs(eigenvalue), 1e-300))
+    """max |tx - eigenvalue * rhs| relative to |eigenvalue| * max |rhs| (at least 1e-300)."""
+    scale = abs(eigenvalue) * float(np.max(np.abs(rhs)))
+    return float(np.max(np.abs(tx - eigenvalue * rhs)) / max(scale, 1e-300))
 
 
 def _require_connected(h: Hypergraph):
@@ -266,16 +266,14 @@ def eigenvector_centrality(
 # ──────────────────────────────────────────────────────────────────────
 
 def _solve_uniformized(
-    t: UniformTensor | _CompositionTensor, method: str, options: Optional[SolverOptions],
-    aux_gauge: bool,
+    t: UniformTensor | _CompositionTensor | _UpliftTensor, method: str,
+    options: Optional[SolverOptions], aux_gauge: bool,
 ) -> CentralityResult:
     """Solve on the tensor t of a uniformized hypergraph or, when `aux_gauge`
     is set, on its aux-gauged view: the tensor uplifted one more order."""
-    labels, aux_indices = t.hypergraph.labels, t.hypergraph.aux.nodes
-    if aux_gauge:
-        t = _GaugedTensor(t)
-        labels, aux_indices = t.labels, t.aux_indices
-    return h_eigen_power(t, options, labels=labels, aux_indices=aux_indices,
+    if aux_gauge:  # t is the one part of its uplift one order up
+        t = _UpliftTensor((t,), t.order + 1, t.hypergraph)
+    return h_eigen_power(t, options, labels=t.labels, aux_indices=t.aux.nodes,
                          method=method)
 
 
@@ -303,8 +301,7 @@ def uhec(
     auxiliary components are reported separately at their raw solver values.
     """
     _require_connected(h)
-    return _solve_uniformized(from_hypergraph(uplift(h, m)), f"UHEC({m})", options,
-                              aux_gauge)
+    return _solve_uniformized(_uplifted(h, m), f"UHEC({m})", options, aux_gauge)
 
 
 def uphec(
@@ -315,8 +312,8 @@ def uphec(
 ) -> CentralityResult:
     """Project edges above order p, uplift the rest, and solve at order p."""
     _require_connected(h)
-    return _solve_uniformized(from_hypergraph(uplift_project(h, p)), f"UPHEC({p})",
-                              options, aux_gauge)
+    _check_uplift_project(h, p)
+    return _solve_uniformized(_uplifted(project(h, p), p), f"UPHEC({p})", options, aux_gauge)
 
 
 def alt_centrality(
@@ -403,10 +400,8 @@ def z_via_uplift(h: Hypergraph, norm: str) -> ZEigenpair:
     n_g = len(real)
     if n_g < 2:
         raise DataError("underlying pairwise graph needs at least 2 nodes")
-    if n_g * n_g > MAX_PROJECTED_ROWS:  # the dense adjacency matrix eigh solves
-        raise DataError(
-            f"the dense eigensolver would hold {n_g * n_g} cells for {n_g} graph "
-            f"nodes, above the limit of {MAX_PROJECTED_ROWS}")
+    _row_budget(n_g * n_g,  # the dense adjacency matrix eigh solves
+                f"the dense eigensolver would hold {n_g * n_g} cells for {n_g} graph nodes")
 
     rows, weight = h.blocks[h.max_size]
     pairs = (np.cumsum(~is_aux) - 1)[rows[~is_aux[rows]]].reshape(-1, 2)

@@ -7,18 +7,17 @@ already checked every row and weight; the tensor is weakly irreducible exactly
 when that hypergraph is connected. Each row adds its weight to the entry
 whose support is the row's multiset of nodes. The represented array has an
 entry's value at every index tuple whose multiset of indices equals its
-support, so an uplifted edge costs one row with its auxiliary node as
-one more column. `_kernels` builds every tensor's contraction kernels, on
-arrays the tensor owns, on first use; `apply` allocates its work arrays per
-call, the power method once per solve (`_contraction`). The read-only
+support. `_kernels` builds every tensor's contraction kernels, on arrays the
+tensor owns, on first use; `apply` allocates its work arrays per call, the
+power method once per solve (`_contraction`). The read-only
 `UniformTensor.entries` view lists the (support, value) pairs on demand for
 `flattening_matrix` and `dense_oracle`, which exist for cross-checking on
 small instances; nothing is densified in production paths.
 
-The aux gauge is not a tensor of its own but `_GaugedTensor`, a view whose
-`apply` rescales the base contraction. Nor is the composition construction:
-`_CompositionTensor` contracts with its input's rows, once per size, and
-builds `alternative_uniformization` only for its `entries`.
+The uplift, the aux gauge included, is `_UpliftTensor`: a view that scales
+its parts' contractions and pads no row. Nor is the composition construction
+a tensor of its own: `_CompositionTensor` contracts with its input's rows,
+once per size, and builds `alternative_uniformization` only for its `entries`.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ import numpy as np
 
 from .errors import DataError
 from .hypergraph import Hypergraph, Support
-from .uniformize import (_alpha, _check_composable, _check_max_order, _compositions,
-                         _starred, alternative_uniformization)
+from .uniformize import (_alpha, _check_composable, _check_max_order, _check_uplift,
+                         _compositions, _starred, alternative_uniformization, star_factor)
 
 NORMS = ("l1", "l2", "none")
 
@@ -125,8 +124,8 @@ def _kernels(m: int, groups) -> tuple:
 
 class UniformTensor:
     """Adjacency tensor of a uniform hypergraph h, kept as `hypergraph`:
-    order h.max_size on `dim = h.n` indices. Auxiliary nodes are ordinary
-    indices; duplicate supports merge additively.
+    order h.max_size on `dim = h.n` indices, with h's `labels` and `aux`.
+    Auxiliary nodes are ordinary indices; duplicate supports merge additively.
     """
 
     def __init__(self, h: Hypergraph):
@@ -141,6 +140,7 @@ class UniformTensor:
         self.hypergraph = h
         self.order = h.max_size
         self.dim = h.n
+        self.labels, self.aux = h.labels, h.aux
 
     @cached_property
     def entries(self) -> tuple[tuple[Support, float], ...]:
@@ -200,6 +200,7 @@ class _CompositionTensor:
         self.hypergraph = g
         self.order = m
         self.dim = g.n
+        self.labels, self.aux = g.labels, g.aux
 
     @cached_property
     def entries(self) -> tuple[tuple[Support, float], ...]:
@@ -227,30 +228,35 @@ class _CompositionTensor:
         return _kernels(m, groups)
 
 
-class _GaugedTensor:
-    """The aux-gauged view over the tensor t of an m-uniform hypergraph g:
-    the tensor of `uplift(g, m + 1)` without building it. It has order m+1
-    on `dim` n+1 indices, the star last, and its `hypergraph` is g (for a
-    `_CompositionTensor`, its projection): the star joins every row, so the
-    gauged tensor is weakly irreducible whenever g is connected, which every
-    pipeline requires. `labels` and `aux_indices` are those of the uplift.
-    """
+class _UpliftTensor:
+    """The tensor of `uplift` to order m as a view of `parts`, tensors of
+    orders s <= m on n indices with shared `labels` and `aux`: order m on
+    `dim` n+1 indices, the star last. Its `hypergraph` is the uplifted one;
+    the star joins every short row, so the view is weakly irreducible
+    whenever that is connected, which every pipeline checks first."""
 
-    def __init__(self, t: Union[UniformTensor, _CompositionTensor]):
-        _check_max_order(t.order + 1)
-        h = t.hypergraph
-        self.base = t
-        self.hypergraph = h
-        self.order = t.order + 1
-        self.dim = t.dim + 1
-        self.labels, aux = _starred(h)
-        self.aux_indices = aux.nodes
+    def __init__(self, parts: tuple, m: int, hypergraph: Hypergraph):
+        _check_max_order(m)
+        self.parts, self.hypergraph, self.order = parts, hypergraph, m
+        self.dim = parts[0].dim + 1
+        self.labels, self.aux = _starred(parts[0].labels, parts[0].aux)
 
     @cached_property
     def entries(self) -> tuple[tuple[Support, float], ...]:
-        """The base entries with the star appended once, value / (m+1)."""
-        star = ((self.dim - 1, 1),)
-        return tuple((s + star, v / self.order) for s, v in self.base.entries)
+        """The parts' entries, short ones starred and scaled, sorted by support."""
+        m, star = self.order, self.dim - 1
+        out = [(s + ((star, m - t.order),), v * star_factor(m, t.order))
+               if t.order < m else (s, v) for t in self.parts for s, v in t.entries]
+        return tuple(sorted(out, key=lambda entry: entry[0]))
+
+
+def _uplifted(g: Hypergraph, m: int) -> Union[UniformTensor, _UpliftTensor]:
+    """The tensor of `uplift(g, m)`, with its refusals, as a view of g's size
+    classes; `UniformTensor(g)` when no edge needs padding."""
+    if _check_uplift(g, m):
+        return UniformTensor(g)
+    return _UpliftTensor(tuple(UniformTensor(Hypergraph(g.n, g.labels, g.aux, blocks={s: b}))
+                               for s, b in g.blocks.items()), m, g)
 
 
 def _contraction(t):
@@ -260,11 +266,26 @@ def _contraction(t):
     order, so every result is bit-identical to one. Kernels on one rows
     array (a composition view's) share its gather. A solver builds one
     contraction per solve: no two threads share buffers (numpy releases the
-    GIL inside `take` and `multiply`).
+    GIL inside `take` and `multiply`). An uplift view adds its parts' contractions, scaled.
     """
-    gauged = isinstance(t, _GaugedTensor)
-    dim = t.dim - 1 if gauged else t.dim
-    arrays = (t.base if gauged else t)._apply_arrays
+    if isinstance(t, _UpliftTensor):
+        n, m, parts = t.dim - 1, t.order, []
+        for part in t.parts:
+            k = m - part.order
+            den = m * math.factorial(k - 1) if k else 1
+            parts.append((_contraction(part), k, part.order / den, den))
+        def contract_uplift(vec: np.ndarray) -> np.ndarray:
+            real, star = vec[:n], vec[n]
+            y = np.zeros(n + 1)
+            for part, k, scale, den in parts:
+                z = part(real)
+                if k:  # in this order: the gauge (k = 1) is pinned bit for bit
+                    y[n] += (real * z).sum() * star ** (k - 1) * k / den
+                    z *= scale * star ** k
+                y[:n] += z
+            return y
+        return contract_uplift
+    dim, arrays = t.dim, t._apply_arrays
     # products of 3 or more factors build up here, one kernel at a time
     scratch = np.empty(max(len(rows) for rows, _, _, _ in arrays))
     gathers, gathered, kernels = [], {}, []
@@ -299,19 +320,7 @@ def _contraction(t):
             y += np.bincount(cells, weights=terms.ravel(), minlength=dim)
         return y
 
-    if not gauged:
-        return contract
-    m = t.base.order
-
-    def contract_gauged(vec: np.ndarray) -> np.ndarray:
-        real = vec[:-1]
-        z = contract(real)
-        y = np.empty(dim + 1)
-        np.multiply(m / (m + 1) * vec[-1], z, out=y[:-1])
-        y[-1] = (real * z).sum() / (m + 1)
-        return y
-
-    return contract_gauged
+    return contract
 
 
 def apply(t: UniformTensor, x: ArrayLike) -> np.ndarray:
@@ -325,10 +334,11 @@ def apply(t: UniformTensor, x: ArrayLike) -> np.ndarray:
     support order, so nodes in symmetric positions get bit-identical terms)
     and one bincount.
 
-    On the aux-gauged view of an order-m tensor, with z the base contraction
-    of the real part x[:n] and x_* the star's component: a real column's
-    arrangement count is m times its base count, and the star's is the base
-    row's full count, so y[:n] = (m/(m+1)) x_* z and y_* = (x[:n] . z)/(m+1).
+    On an order-m uplift view, with z_s an order-s part's contraction of the
+    real part x[:n], x_* the star's component and k = m - s >= 1, y[:n]
+    gains s/(m (k-1)!) x_*^k z_s and y_* gains k/(m (k-1)!) x_*^(k-1)
+    (x[:n] . z_s): the star factor times the ratios of arrangement counts,
+    also for rows that repeat a node. A part of order m adds z_m to y[:n].
     """
     return _contraction(t)(_as_array(x, t.dim))
 

@@ -85,11 +85,18 @@ def _require_simple(rows: np.ndarray, what: str) -> None:
         raise DataError(f"{what} requires simple (set) hyperedges")
 
 
-def _starred(h: Hypergraph) -> tuple[tuple, AuxSpec]:
-    """The labels and aux spec of h with one shared auxiliary node, the
-    star, appended as index h.n: those of every uplift that pads an edge."""
-    return (h.labels + (_fresh_label(set(h.labels), "*"),),
-            AuxSpec(h.aux.nodes + (h.n,), h.aux.multiplicities + (None,)))
+def _starred(labels: tuple, aux: AuxSpec) -> tuple[tuple, AuxSpec]:
+    """`labels` and `aux` with one shared auxiliary node, the star, appended
+    as index len(labels): those of every uplift that pads an edge."""
+    return (labels + (_fresh_label(set(labels), "*"),),
+            AuxSpec(aux.nodes + (len(labels),), aux.multiplicities + (None,)))
+
+
+def _check_uplift(h: Hypergraph, m: int) -> bool:
+    """Refuse what `uplift(h, m)` refuses; True when no edge needs padding."""
+    _check_order(h, m, "uplift")
+    _check_max_order(m)
+    return all(s == m for s in h.blocks)
 
 
 def uplift(h: Hypergraph, m: int, counter: BuildCounter | None = None) -> Hypergraph:
@@ -98,10 +105,9 @@ def uplift(h: Hypergraph, m: int, counter: BuildCounter | None = None) -> Hyperg
     A size-s edge gains the auxiliary node with multiplicity m-s and its
     weight is multiplied by (m-s) * s! / m!; edges already at size m pass
     through. Identity when nothing needs padding (no auxiliary node added).
+    Solvers do not build it but solve on its view, `tensor._UpliftTensor`.
     """
-    _check_order(h, m, "uplift")
-    _check_max_order(m)
-    if all(s == m for s in h.blocks):
+    if _check_uplift(h, m):
         return h
     star = h.n
     rows, weights = [], []
@@ -113,7 +119,7 @@ def uplift(h: Hypergraph, m: int, counter: BuildCounter | None = None) -> Hyperg
             w = w * star_factor(m, s)
         rows.append(r)
         weights.append(w)
-    labels, aux = _starred(h)
+    labels, aux = _starred(h.labels, h.aux)
     return _hand_on_connected(h, Hypergraph(
         h.n + 1, labels=labels, aux=aux,
         blocks={m: (np.concatenate(rows), np.concatenate(weights))}))
@@ -149,16 +155,19 @@ def multi_uplift(
                                             blocks={m: (rows, weight)}))
 
 
+def _row_budget(total: int, claim: str, advice: str = "") -> int:
+    """`total`; a DataError that states `claim` and `advice` above the limit."""
+    if total > MAX_PROJECTED_ROWS:
+        raise DataError(f"{claim}, above the limit of {MAX_PROJECTED_ROWS}{advice}")
+    return total
+
+
 def projected_rows(size_histogram: Mapping[int, int], p: int) -> int:
     """Rows `project` gathers for order p: the sum over sizes s of
     E_s * C(s, p). Raises DataError above MAX_PROJECTED_ROWS."""
     total = sum(count * math.comb(s, p) for s, count in size_histogram.items())
-    if total > MAX_PROJECTED_ROWS:
-        raise DataError(
-            f"projecting to order {p} would generate {total} subsets, above the "
-            f"limit of {MAX_PROJECTED_ROWS}; choose a larger order"
-        )
-    return total
+    return _row_budget(total, f"projecting to order {p} would generate {total} subsets",
+                       "; choose a larger order")
 
 
 def project(h: Hypergraph, p: int, counter: BuildCounter | None = None) -> Hypergraph:
@@ -195,12 +204,16 @@ def project(h: Hypergraph, p: int, counter: BuildCounter | None = None) -> Hyper
     return _hand_on_connected(h, Hypergraph(h.n, labels=h.labels, aux=h.aux, blocks=blocks))
 
 
+def _check_uplift_project(h: Hypergraph, p: int) -> None:
+    if not 2 <= p <= h.max_size:
+        raise DataError(f"order p={p} must satisfy 2 <= p <= M={h.max_size}")
+
+
 def uplift_project(
     h: Hypergraph, p: int, counter: BuildCounter | None = None
 ) -> Hypergraph:
     """Project edges above p, then uplift the rest: a p-uniform result."""
-    if not 2 <= p <= h.max_size:
-        raise DataError(f"order p={p} must satisfy 2 <= p <= M={h.max_size}")
+    _check_uplift_project(h, p)
     return uplift(project(h, p, counter), p, counter)
 
 
@@ -209,12 +222,9 @@ def _composition_rows(size_histogram: Mapping[int, int], m: int) -> int:
     sizes s of E_s * C(m-1, s-1), the compositions of m into s parts.
     Raises DataError above MAX_PROJECTED_ROWS."""
     total = sum(count * math.comb(m - 1, s - 1) for s, count in size_histogram.items())
-    if total > MAX_PROJECTED_ROWS:
-        raise DataError(
-            f"uniformizing to order {m} would generate {total} composition rows, "
-            f"above the limit of {MAX_PROJECTED_ROWS}; choose a smaller order"
-        )
-    return total
+    return _row_budget(
+        total, f"uniformizing to order {m} would generate {total} composition rows",
+        "; choose a smaller order")
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 (`reference.py`) and the dense oracle, on small random non-uniform
 hypergraphs."""
 
+import math
 import warnings
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import hyperrank as hr
 import reference
 from hyperrank.hypergraph import _edge_blocks, merge_rows
-from hyperrank.tensor import _CompositionTensor, _contraction, _GaugedTensor
+from hyperrank.tensor import _CompositionTensor, _contraction, _uplifted, _UpliftTensor
 from hyperrank.uniformize import MAX_PROJECTED_ROWS, _composition_rows, projected_rows
 from oracles import dense_apply
 
@@ -48,6 +49,33 @@ def build(h, kind, m, aux_gauge):
     if aux_gauge:
         got, ref = hr.uplift(got, got.max_size + 1), reference.uplift(ref, ref.max_size + 1)
     return got, ref
+
+
+def gauge(t):
+    """The aux gauge over t, as the solver builds it: t is the one part of
+    its uplift one order up."""
+    return _UpliftTensor((t,), t.order + 1, t.hypergraph)
+
+
+def check_view_is_materialized(view, up, xrng):
+    """The uplift view `view` (the aux gauge included) against the tensor of
+    the materialized uplift `up`: shape, labels and aux, entries, dense
+    array, contraction and the H-eigenpair residual, to rounding."""
+    want = hr.from_hypergraph(up)
+    assert (view.order, view.dim) == (want.order, want.dim)
+    assert (view.labels, view.aux) == (up.labels, up.aux)
+    assert [s for s, _ in view.entries] == [s for s, _ in want.entries]
+    for (_, got), (_, value) in zip(view.entries, want.entries):
+        assert got == pytest.approx(value, rel=1e-14)
+    np.testing.assert_allclose(hr.dense_oracle(view), hr.dense_oracle(want),
+                               rtol=1e-14, atol=0)
+    for _ in range(3):
+        x = xrng.uniform(-1, 1, view.dim)
+        assert np.max(np.abs(hr.apply(view, x) - hr.apply(want, x))) <= 1e-12
+    x = xrng.uniform(0.5, 1.5, view.dim)
+    lam = float(xrng.uniform(0.5, 2.0))
+    assert hr.verify_h_eigenpair(view, lam, x).residual == pytest.approx(
+        hr.verify_h_eigenpair(want, lam, x).residual, rel=1e-12)
 
 
 KINDS = ("uplift", "project", "uplift_project", "alt")
@@ -102,27 +130,10 @@ class TestTensorKernel:
         else:
             m = h.max_size + data.draw(st.integers(0, 1))
         g, _ = build(h, kind, m, aux_gauge=False)
-        view = _GaugedTensor(hr.from_hypergraph(g))
-        up = hr.uplift(g, g.max_size + 1)
-        want = hr.from_hypergraph(up)
-        assert (view.order, view.dim) == (want.order, want.dim)
-        assert view.labels == up.labels
-        assert view.aux_indices == up.aux.nodes
+        view = gauge(hr.from_hypergraph(g))
         assert view.hypergraph is g
-
-        assert [s for s, _ in view.entries] == [s for s, _ in want.entries]
-        for (_, got), (_, value) in zip(view.entries, want.entries):
-            assert got == pytest.approx(value, rel=1e-14)
-        np.testing.assert_allclose(hr.dense_oracle(view), hr.dense_oracle(want),
-                                   rtol=1e-14, atol=0)
         xrng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        for _ in range(3):
-            x = xrng.uniform(-1, 1, view.dim)
-            assert np.max(np.abs(hr.apply(view, x) - hr.apply(want, x))) <= 1e-12
-        x = xrng.uniform(0.5, 1.5, view.dim)
-        lam = float(xrng.uniform(0.5, 2.0))
-        assert hr.verify_h_eigenpair(view, lam, x).residual == pytest.approx(
-            hr.verify_h_eigenpair(want, lam, x).residual, rel=1e-12)
+        check_view_is_materialized(view, hr.uplift(g, g.max_size + 1), xrng)
 
     def test_multiset_rows_split_into_patterns(self, two_aux_uplift):
         t = hr.from_hypergraph(two_aux_uplift)
@@ -133,13 +144,38 @@ class TestTensorKernel:
 
 
 def fresh_contraction(t, vec):
-    """`reference.contract_kernels` on t, with the aux gauge's rescaling of
-    the base contraction when t is the gauged view."""
-    if isinstance(t, _GaugedTensor):
-        kernels, m, real = t.base._apply_arrays, t.base.order, vec[:-1]
-        z = reference.contract_kernels(kernels, real, t.dim - 1)
+    """`reference.contract_kernels` on t; on an uplift view, each part's
+    fresh contraction of the real part, scaled by the star's powers as
+    `tensor.apply` states them and added in part order. The aux gauge (one
+    part, k = 1) is the earlier rescaling of the base contraction."""
+    if not isinstance(t, _UpliftTensor):
+        return reference.contract_kernels(t._apply_arrays, vec, t.dim)
+    real, star, m = vec[:-1], vec[-1], t.order
+    if len(t.parts) == 1 and t.parts[0].order == m - 1:
+        z, m = fresh_contraction(t.parts[0], real), m - 1
         return np.append(m / (m + 1) * vec[-1] * z, (real * z).sum() / (m + 1))
-    return reference.contract_kernels(t._apply_arrays, vec, t.dim)
+    y = np.zeros(t.dim)
+    for part in t.parts:
+        z, k = fresh_contraction(part, real), m - part.order
+        if k:
+            den = m * math.factorial(k - 1)
+            y[-1] += (real * z).sum() * star ** (k - 1) * k / den
+            z = part.order / den * star ** k * z
+        y[:-1] += z
+    return y
+
+
+def tensor_of(h, kind, m, gauged):
+    """The tensor a pipeline solves on for one construction: the uplift
+    view for "uplift" and "uplift_project", and the materialized ALT
+    tensor for "alt"; with `gauged`, its aux gauge."""
+    if kind == "uplift":
+        t = _uplifted(h, m)
+    elif kind == "uplift_project":
+        t = _uplifted(hr.project(h, m), m)
+    else:
+        t = hr.from_hypergraph(build(h, kind, m, aux_gauge=False)[0])
+    return gauge(t) if gauged else t
 
 
 class TestContractionBuffers:
@@ -153,9 +189,7 @@ class TestContractionBuffers:
             m = data.draw(st.integers(2, h.max_size))
         else:
             m = h.max_size + data.draw(st.integers(0, 1))
-        t = hr.from_hypergraph(build(h, kind, m, aux_gauge=False)[0])
-        if gauged:
-            t = _GaugedTensor(t)
+        t = tensor_of(h, kind, m, gauged)
         contract = _contraction(t)
         xrng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         for _ in range(3):
@@ -169,7 +203,8 @@ class TestContractionBuffers:
     def test_rows_with_repeated_nodes(self, rows):
         h = hr.Hypergraph(3, blocks={len(rows[0]): (np.array(rows), np.arange(1.0, 5.0))})
         xrng = np.random.default_rng(7)
-        for t in (hr.from_hypergraph(h), _GaugedTensor(hr.from_hypergraph(h))):
+        for t in (hr.from_hypergraph(h), gauge(hr.from_hypergraph(h)),
+                  _uplifted(h, len(rows[0]) + 2)):
             contract = _contraction(t)
             for _ in range(3):
                 x = xrng.uniform(0.5, 1.5, t.dim)
@@ -194,7 +229,7 @@ class TestCompositionView:
             assert np.array_equal(rows, w_rows) and np.array_equal(cells, w_cells)
             assert (coef.tobytes(), seq) == (w_coef.tobytes(), w_seq)
         if gauged:
-            view, want = _GaugedTensor(view), _GaugedTensor(want)
+            view, want = gauge(view), gauge(want)
             assert view.hypergraph is g
         contract = _contraction(view)
         xrng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -226,6 +261,69 @@ class TestCompositionView:
                 build()
 
 
+class TestUpliftView:
+    @given(hypergraphs(), st.booleans(), st.integers(0, 2), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_view_is_the_materialized_uplift(self, h, projected, bump, gauged, data):
+        # uhec's and uphec's tensor, and the aux gauge over it, as views of
+        # the size classes are the tensors of the padded rows
+        if projected:
+            m = data.draw(st.integers(2, h.max_size))
+            g = hr.project(h, m)
+        else:
+            g, m = h, h.max_size + bump
+        view, up = _uplifted(g, m), hr.uplift(g, m)
+        assert view.hypergraph is g
+        if up is g:  # uplift's identity case: no star
+            assert type(view) is hr.UniformTensor
+        if gauged:
+            view, up = gauge(view), hr.uplift(up, m + 1)
+            assert view.hypergraph is g
+        xrng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        check_view_is_materialized(view, up, xrng)
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_rows_with_repeated_nodes(self, two_aux_uplift, m):
+        mixed = hr.Hypergraph.from_edge_list(
+            [[1, 1, 2], [2, 3, 3, 3], [1, 3], [1, 2, 3, 3, 3]], [1.0, 2.0, 0.5, 1.5],
+            keep_multiplicities=True)
+        xrng = np.random.default_rng(m)
+        for g in (two_aux_uplift, mixed):
+            check_view_is_materialized(_uplifted(g, m), hr.uplift(g, m), xrng)
+            check_view_is_materialized(gauge(_uplifted(g, m)),
+                                       hr.uplift(hr.uplift(g, m), m + 1), xrng)
+
+    @pytest.mark.parametrize("m, message", [
+        (2, "cannot uplift below max edge size: m=2 < M=3"),
+        (21, "tensor order 21 exceeds supported 20"),
+    ])
+    def test_refuses_as_uplift(self, fig1, m, message):
+        for build in (lambda: hr.uplift(fig1, m), lambda: hr.uhec(fig1, m)):
+            with pytest.raises(hr.DataError, match=message):
+                build()
+        with pytest.raises(hr.DataError, match="tensor order 21 exceeds supported 20"):
+            hr.uhec(fig1, 20, aux_gauge=True)
+
+    @pytest.mark.parametrize("aux_gauge", [False, True])
+    def test_pipelines_build_no_uplift(self, example6, aux_gauge):
+        # the solves run on views: the materialized constructions are never
+        # called, and the scores are the reference's
+        opts = hr.SolverOptions(tol=1e-13)
+        with mock.patch("hyperrank.uniformize.uplift", side_effect=AssertionError), \
+                mock.patch("hyperrank.uniformize.uplift_project",
+                           side_effect=AssertionError):
+            results = [(hr.uhec(example6, m, opts, aux_gauge), "uplift", m)
+                       for m in (4, 5)]
+            results += [(hr.uphec(example6, p, opts, aux_gauge), "uplift_project", p)
+                        for p in (2, 3, 4)]
+        for res, kind, m in results:
+            lam, scores = reference.centrality(
+                reference.construction(example6, kind, m, aux_gauge), 1e-13)
+            assert res.converged
+            assert np.max(np.abs(res.scores.values - scores)) <= 1e-12
+            assert res.eigenvalue == pytest.approx(lam, rel=1e-10)
+
+
 class TestKernelOwnership:
     @given(hypergraphs(), st.sampled_from(["project", "uplift", "uplift_project", "alt"]),
            st.booleans(), st.data())
@@ -248,7 +346,7 @@ class TestKernelOwnership:
         if kind == "alt":
             assert all(len(arrays) == 1 for arrays in by_size.values())
         if gauged:
-            t = _GaugedTensor(t)
+            t = gauge(t)
         contract = _contraction(t)
         with mock.patch.object(np, "take", wraps=np.take) as take, \
                 mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:

@@ -500,6 +500,22 @@ class TestVerify:
                                       tol=1e-10)
         assert check.passed
 
+    def test_uniform_vector_fails_at_high_order(self):
+        # at order 8 on 41 indices the unit-l1 iterate's x^[m-1] is about
+        # 1e-13: a residual relative to |lambda| alone passes any vector
+        n = 40
+        edges = [[i, (i + 1) % n, (i + 3) % n] for i in range(0, n, 2)]
+        edges += [[i, (i + 1) % n] for i in range(1, n, 2)]
+        h = hr.Hypergraph.from_edge_list(edges, [1 + k % 5 for k in range(len(edges))])
+        t = hr.from_hypergraph(hr.uplift(h, 8))
+        res = hr.h_eigen_power(t)  # no aux split: scores are the full iterate
+        assert hr.verify_h_eigenpair(t, res.eigenvalue, res.scores.values).passed
+        uniform = np.full(t.dim, 1.0 / t.dim)
+        tx, rhs = hr.apply(t, uniform), uniform ** (t.order - 1)
+        assert np.max(np.abs(tx - res.eigenvalue * rhs)) / res.eigenvalue <= 1e-10
+        check = hr.verify_h_eigenpair(t, res.eigenvalue, uniform)
+        assert not check.passed and check.residual > 1.0
+
     def test_perturbed_vector_fails(self, two_aux_uplift):
         t = hr.from_hypergraph(two_aux_uplift)
         pair = hr.z_via_uplift(two_aux_uplift, "z2")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import hyperrank as hr
 from hyperrank.hypergraph import component_roots
 from hyperrank.spectral import _require_connected
-from hyperrank.tensor import _GaugedTensor
+from hyperrank.tensor import _UpliftTensor
 from oracles import project_weight_scan, random_hypergraph
 
 
@@ -257,7 +257,7 @@ class TestInvariants:
                     assert np.array_equal(g._component_roots, fresh)
             if connected and g.is_uniform():
                 t = hr.from_hypergraph(g)
-                for u in (t, _GaugedTensor(t)):  # the gauge checks g itself
+                for u in (t, _UpliftTensor((t,), t.order + 1, g)):  # the gauge checks g
                     assert hr.is_strongly_connected(u.hypergraph)
                     _require_connected(u.hypergraph)
 

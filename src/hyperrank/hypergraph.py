@@ -143,8 +143,6 @@ def merge_rows(rows: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.nda
         key = rows[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (key[1:] != key[:-1]).reshape(len(rows) - 1, -1).any(axis=1)
-    if first.all():
-        return rows[order], weight[order]
     group = np.empty(len(rows), dtype=np.int64)
     group[order] = np.cumsum(first) - 1
     return rows[order[first]], np.bincount(group, weights=weight)

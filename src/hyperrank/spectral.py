@@ -284,8 +284,6 @@ def hec(
 ) -> CentralityResult:
     """H-eigenvector centrality of a uniform hypergraph."""
     _require_connected(h)
-    if not h.is_uniform():
-        raise DataError("hec requires a uniform hypergraph; see uhec/uphec")
     return _solve_uniformized(from_hypergraph(h), f"HEC({h.max_size})", options, aux_gauge)
 
 

@@ -212,14 +212,12 @@ class _CompositionTensor:
         """`_kernels` of the materialized tensor, one group per (size,
         composition). Each size's compositions share one column-major copy
         of its rows, as the materialized cut copies each pattern's rows, and
-        one row-major copy for the cells; rows that are all of size m are
-        one all-distinct pattern, whose one C copy serves as both.
+        one row-major copy for the cells.
         """
-        m, blocks = self.order, self.hypergraph.blocks
-        layout = "C" if list(blocks) == [m] else "F"
+        m = self.order
         groups = []
-        for s, (rows, weight) in blocks.items():
-            rows = np.array(rows, order=layout)
+        for s, (rows, weight) in self.hypergraph.blocks.items():
+            rows = np.array(rows, order="F")
             cells, value = rows.ravel(), weight * s / _alpha(m, s)
             for comp in _compositions(m, s):
                 starts = np.zeros(m, dtype=bool)
@@ -231,9 +229,10 @@ class _CompositionTensor:
 class _UpliftTensor:
     """The tensor of `uplift` to order m as a view of `parts`, tensors of
     orders s <= m on n indices with shared `labels` and `aux`: order m on
-    `dim` n+1 indices, the star last. Its `hypergraph` is the uplifted one;
-    the star joins every short row, so the view is weakly irreducible
-    whenever that is connected, which every pipeline checks first."""
+    `dim` n+1 indices, the star last. Its `hypergraph` is the hypergraph
+    whose connectivity makes the view weakly irreducible (the star joins
+    every short row): the pipeline's checked input, or the projection that
+    `project` hands that verdict to."""
 
     def __init__(self, parts: tuple, m: int, hypergraph: Hypergraph):
         _check_max_order(m)

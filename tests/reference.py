@@ -7,11 +7,12 @@ tensor is a sorted tuple of (support, value) entries, `apply` expands every
 Z-eigenpair scan edge by edge. They read hypergraphs through the
 `Hypergraph.edges` view only, and build them through `hypergraph` below, so
 they share no code with the kernels under test; `merge_rows` here is the
-plain lexsort merge that the package packs into one key where it can. The
-rank sweep at the end is the one-pair-at-a-time form of the batched sweep
-in `rankcmp`, with `_tau_b`, the scalar formula on exact Python ints, in
-place of its array form. `stats` scans the edges and finds each order's
-components with scipy.
+plain lexsort merge that the package packs into one key where it can, and
+the star factor and alpha(m, s) are computed here, over
+`oracles.compositions`. The rank sweep at the end is the
+one-pair-at-a-time form of the batched sweep in `rankcmp`, with `_tau_b`,
+the scalar formula on exact Python ints, in place of its array form.
+`stats` scans the edges and finds each order's components with scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import hyperrank as hr
 from hyperrank.hypergraph import (HypergraphStats, OrderStats, _check_weights,
                                   _distinct_labels, _fresh_label, _label_sort_key,
                                   sort_labels)
-from hyperrank.uniformize import _alpha, _compositions, star_factor
+from oracles import compositions
 
 
 # ---- ingestion ---------------------------------------------------------
@@ -190,6 +191,18 @@ def hypergraph(n, edges, labels, aux) -> hr.Hypergraph:
     return hr.Hypergraph(n, labels, aux, blocks=blocks)
 
 
+def star_factor(m: int, s: int) -> float:
+    """Weight multiplier of a size-s edge padded to order m: (m - s) s! / m!."""
+    return (m - s) * math.factorial(s) / math.factorial(m)
+
+
+def alpha(m: int, s: int) -> int:
+    """Index tuples of length m onto s nodes, all present: the sum of the
+    multinomials of the compositions of m into s parts."""
+    return sum(math.factorial(m) // math.prod(math.factorial(k) for k in comp)
+               for comp in compositions(m, s))
+
+
 def uplift(h: hr.Hypergraph, m: int) -> hr.Hypergraph:
     if all(e.size == m for e in h.edges):
         return h
@@ -225,8 +238,8 @@ def uplift_project(h: hr.Hypergraph, p: int) -> hr.Hypergraph:
 def alternative_uniformization(h: hr.Hypergraph, m: int) -> hr.Hypergraph:
     merged: dict[tuple, float] = {}
     for e in h.edges:
-        value = e.weight * e.size / _alpha(m, e.size)
-        for comp in _compositions(m, e.size):
+        value = e.weight * e.size / alpha(m, e.size)
+        for comp in compositions(m, e.size):
             support = tuple((v, c) for v, c in zip(e.nodes, comp))
             merged[support] = merged.get(support, 0.0) + value
     return hypergraph(h.n, sorted(merged.items()), h.labels, h.aux)

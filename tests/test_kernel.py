@@ -331,7 +331,8 @@ class TestKernelOwnership:
     def test_contraction_reads_only_arrays_its_tensor_owns(self, h, kind, gauged, data):
         # numpy copies a read-only `take` index or `bincount` input on every
         # call: every kernel's rows and cells are writable arrays that the
-        # tensor made, and the compositions of one size share them
+        # tensor made, and the compositions of one size share them: one
+        # column-major copy of the rows, also when every row has size m
         if kind == "alt":
             m = data.draw(st.integers(max(2, h.max_size - 2), 7))
             t = _CompositionTensor(hr.project(h, m), m)
@@ -345,6 +346,7 @@ class TestKernelOwnership:
             by_size.setdefault(rows.shape[1], set()).add((id(rows), id(cells)))
         if kind == "alt":
             assert all(len(arrays) == 1 for arrays in by_size.values())
+            assert all(rows.flags.f_contiguous for rows, _, _, _ in kernels)
         if gauged:
             t = gauge(t)
         contract = _contraction(t)

@@ -18,6 +18,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from types import MappingProxyType
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -185,8 +186,9 @@ class Hypergraph:
         if len(_distinct_labels(labels)) != n:
             raise DataError("labels must be distinct")
         aux = aux if aux is not None else AuxSpec()
-        if any(a >= n for a in aux.nodes):
-            raise DataError("aux node out of range")
+        for a in aux.nodes:
+            if isinstance(a, bool) or not isinstance(a, Integral) or not 0 <= a < n:
+                raise DataError(f"aux node {a!r} is not an index in 0..{n - 1}")
         clean: Blocks = {}
         for s in sorted(blocks or {}):
             rows, weight = blocks[s]

@@ -28,7 +28,8 @@ from .hypergraph import (AuxSpec, Hypergraph, _distinct_labels, component_roots,
 from .tensor import (ScoreVector, UniformTensor, _as_array, _CompositionTensor,
                      _contraction, _norm_value, _uplifted, _UpliftTensor, apply,
                      from_hypergraph)
-from .uniformize import _check_max_order, _check_uplift_project, _row_budget, project
+from .uniformize import (_check_max_order, _check_uplift_project, _multinomial, _row_budget,
+                         project)
 
 __all__ = [
     "SolverOptions",
@@ -378,7 +379,7 @@ def z_via_uplift(h: Hypergraph, norm: str) -> ZEigenpair:
     The whole vector is scaled to the requested unit norm, z1 (sum of
     |c| = 1) or z2 (sqrt(sum of c^2) = 1), and the tensor eigenvalue is the
     graph eigenvalue times the arrangement factor
-    omega = (slack+1)! / prod(multiplicity_k!) times the product of scaled
+    omega = (order-1)! / prod(multiplicity_k!) times the product of scaled
     auxiliary components raised to their multiplicities.
     """
     norm = norm.lower()
@@ -424,10 +425,7 @@ def z_via_uplift(h: Hypergraph, norm: str) -> ZEigenpair:
         full[a] = math.sqrt(p_a * q / lam)
 
     vector = ScoreVector.normalized(full, "l1" if norm == "z1" else "l2")
-    slack = h.max_size - 2
-    omega = math.factorial(slack + 1)
-    for p_a in aux.multiplicities:
-        omega //= math.factorial(p_a)
+    omega = _multinomial((1,) + aux.multiplicities)
     lam_tensor = lam * omega
     for a, p_a in zip(aux.nodes, aux.multiplicities):
         lam_tensor *= float(vector.values[a]) ** p_a

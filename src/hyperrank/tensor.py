@@ -7,9 +7,11 @@ already checked every row and weight; the tensor is weakly irreducible exactly
 when that hypergraph is connected. Each row adds its weight to the entry
 whose support is the row's multiset of nodes. The represented array has an
 entry's value at every index tuple whose multiset of indices equals its
-support. `_kernels` builds every tensor's contraction kernels, on arrays the
-tensor owns, on first use; `apply` allocates its work arrays per call, the
-power method once per solve (`_contraction`). The read-only
+support. `_kernels` builds every tensor's contraction kernels, one per
+multiplicity pattern (a composition of the order) with `_multinomial`
+arrangement counts, on arrays the tensor owns, on first use; `apply`
+allocates its work arrays per call, the power method once per solve
+(`_contraction`). The read-only
 `UniformTensor.entries` view lists the (support, value) pairs on demand for
 `flattening_matrix` and `dense_oracle`, which exist for cross-checking on
 small instances; nothing is densified in production paths.
@@ -32,7 +34,8 @@ import numpy as np
 from .errors import DataError
 from .hypergraph import Hypergraph, Support
 from .uniformize import (_alpha, _check_composable, _check_max_order, _check_uplift,
-                         _compositions, _starred, alternative_uniformization, star_factor)
+                         _compositions, _multinomial, _starred, alternative_uniformization,
+                         star_factor)
 
 NORMS = ("l1", "l2", "none")
 
@@ -86,34 +89,24 @@ def _as_array(x: ArrayLike, n: int) -> np.ndarray:
     return arr
 
 
-def _arrangements(order: int, mults: tuple[int, ...], k: int) -> int:
-    """Orderings of the other order-1 indices of a support with one index
-    of multiplicity mults[k] fixed in front."""
-    count = math.factorial(order - 1) // math.factorial(mults[k] - 1)
-    for j, c in enumerate(mults):
-        if j != k:
-            count //= math.factorial(c)
-    return count
-
-
-def _kernels(m: int, groups) -> tuple:
-    """The contraction kernels of an order-m tensor from its groups
-    (run-start mask, rows, cells, value): a group holds the rows of one
-    multiplicity pattern, whose mask marks the columns that start a run,
-    cut to their distinct nodes, and its cells are those rows flattened
-    row-major. One kernel per group, sorted by mask, False first: its rows;
-    its cells; value times the pattern's arrangement count for every cell;
+def _kernels(groups) -> tuple:
+    """The contraction kernels of a tensor from its groups (mults, rows,
+    cells, value): a group holds the rows of one multiplicity pattern, cut
+    to their distinct nodes, and mults is that pattern, the composition of
+    the order whose part j is column j's multiplicity; its cells are those
+    rows flattened row-major. One kernel per group, sorted by composition,
+    descending: its rows; its cells; value times each column's arrangement
+    count, the `_multinomial` of mults with part j lowered by one;
     and each column's leave-one-out factor sequence, the column repeated
-    mult - 1 times, then every other column l repeated mults[l] times.
+    mults[j] - 1 times, then every other column l repeated mults[l] times.
 
     Callers pass rows and cells that they own, writable: numpy copies a
     read-only `take` index or `bincount` input on every call.
     """
     kernels = []
-    for starts, rows, cells, value in sorted(groups, key=lambda g: g[0]):
-        mults = tuple(np.diff(np.r_[np.flatnonzero(starts), m]).tolist())
-        counts = np.array([_arrangements(m, mults, j) for j in range(len(mults))],
-                          dtype=float)
+    for mults, rows, cells, value in sorted(groups, key=lambda g: g[0], reverse=True):
+        counts = np.array([_multinomial(mults[:j] + (c - 1,) + mults[j + 1:])
+                           for j, c in enumerate(mults)], dtype=float)
         sequences = tuple(
             (j,) * (mults[j] - 1)
             + tuple(l for l, c in enumerate(mults) if l != j for _ in range(c))
@@ -162,7 +155,7 @@ class UniformTensor:
         starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
         if starts.all():  # one all-distinct pattern: one owned copy of the rows
             rows = rows.copy()
-            return _kernels(m, [((True,) * m, rows, rows.ravel(), weight)])
+            return _kernels([((1,) * m, rows, rows.ravel(), weight)])
         # a stable sort keeps each pattern's rows in their order; numpy cuts
         # them column-major, which keeps `apply`'s column products fast
         order = np.lexsort(starts.T[::-1])
@@ -171,8 +164,9 @@ class UniformTensor:
         groups = []
         for a, sel in zip(first, np.split(order, first[1:])):
             cut = rows[sel][:, starts[a]]
-            groups.append((tuple(starts[a].tolist()), cut, cut.ravel(), weight[sel]))
-        return _kernels(m, groups)
+            mults = tuple(np.diff(np.r_[np.flatnonzero(starts[a]), m]).tolist())
+            groups.append((mults, cut, cut.ravel(), weight[sel]))
+        return _kernels(groups)
 
 
 def from_hypergraph(h: Hypergraph) -> UniformTensor:
@@ -219,11 +213,8 @@ class _CompositionTensor:
         for s, (rows, weight) in self.hypergraph.blocks.items():
             rows = np.array(rows, order="F")
             cells, value = rows.ravel(), weight * s / _alpha(m, s)
-            for comp in _compositions(m, s):
-                starts = np.zeros(m, dtype=bool)
-                starts[np.cumsum((0,) + comp[:-1])] = True
-                groups.append((tuple(starts.tolist()), rows, cells, value))
-        return _kernels(m, groups)
+            groups.extend((comp, rows, cells, value) for comp in _compositions(m, s))
+        return _kernels(groups)
 
 
 class _UpliftTensor:
@@ -347,20 +338,13 @@ def flattening_matrix(t: UniformTensor) -> np.ndarray:
     second index j. Cells are accumulated with an exactly rounded summation,
     so the result is independent of entry order.
     """
-    m = t.order
-    fact = math.factorial
     cells: dict[tuple[int, int], list[float]] = {}
     for support, value in t.entries:
-        for i, mi in support:
-            for j, mj in support:
-                need = 2 if i == j else 1
-                if (mi if i == j else mj) < need:
-                    continue
-                count = fact(m - 2)
-                for v, c in support:
-                    rem = c - (1 if v == i else 0) - (1 if v == j else 0)
-                    count //= fact(rem)
-                cells.setdefault((i, j), []).append(value * count)
+        for i, _ in support:
+            for j, _ in support:
+                rest = [c - (v == i) - (v == j) for v, c in support]
+                if min(rest) >= 0:  # i == j needs a multiplicity of 2
+                    cells.setdefault((i, j), []).append(value * _multinomial(rest))
     out = np.zeros((t.dim, t.dim))
     for (i, j), vals in cells.items():
         out[i, j] = math.fsum(vals)

@@ -48,7 +48,7 @@ __all__ = [
 # may repeat; larger requests fail before allocating anything.
 MAX_PROJECTED_ROWS = 20_000_000
 
-_MAX_ORDER = 20  # factorial-based arrangement counts; no real dataset gets close
+_MAX_ORDER = 20  # bounds each `_multinomial` and `_compositions` list; no real dataset gets close
 
 
 @dataclass
@@ -241,16 +241,16 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _multinomial(counts) -> int:
+    """Orderings of a multiset with these multiplicities: sum(counts)! over
+    the product of each count's factorial, exact."""
+    return math.factorial(sum(counts)) // math.prod(math.factorial(c) for c in counts)
+
+
 @lru_cache(maxsize=None)
 def _alpha(m: int, s: int) -> int:
     """Number of index tuples of length m drawn onto s nodes, all present."""
-    total = 0
-    for comp in _compositions(m, s):
-        term = math.factorial(m)
-        for k in comp:
-            term //= math.factorial(k)
-        total += term
-    return total
+    return sum(_multinomial(comp) for comp in _compositions(m, s))
 
 
 def _check_composable(h: Hypergraph, m: int) -> None:

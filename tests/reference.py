@@ -382,6 +382,14 @@ def _leftover_is_pairwise(h: hr.Hypergraph, sel: set[int]) -> bool:
     return True
 
 
+def omega(order: int, multiplicities) -> int:
+    """The Z-eigenpair's arrangement factor: (order - 1)! / prod(p_k!)."""
+    out = math.factorial(order - 1)
+    for p_a in multiplicities:
+        out //= math.factorial(p_a)
+    return out
+
+
 def z_via_uplift(h: hr.Hypergraph, norm: str) -> tuple[np.ndarray, float]:
     """(eigenvector, eigenvalue) of the package's closed-form Z-eigenpair,
     with the pairwise matrix summed edge by edge."""
@@ -417,10 +425,7 @@ def z_via_uplift(h: hr.Hypergraph, norm: str) -> tuple[np.ndarray, float]:
     for a, p_a in zip(aux.nodes, aux.multiplicities):
         full[a] = math.sqrt(p_a * q / lam)
     vector = hr.ScoreVector.normalized(full, "l1" if norm == "z1" else "l2").values
-    omega = math.factorial(h.max_size - 1)
-    for p_a in aux.multiplicities:
-        omega //= math.factorial(p_a)
-    lam_tensor = lam * omega
+    lam_tensor = lam * omega(h.max_size, aux.multiplicities)
     for a, p_a in zip(aux.nodes, aux.multiplicities):
         lam_tensor *= float(vector[a]) ** p_a
     return vector, lam_tensor

@@ -221,6 +221,17 @@ class TestConstruction:
             hr.Hypergraph(2, blocks={3: ([[0, 1, 0]], [1.0])})
         assert hr.Hypergraph(2, blocks={3: ([[0, 0, 1]], [1.0])}).num_edges == 1
 
+    def test_rejects_aux_node_that_is_not_an_index(self):
+        # a -1 would index from the end: `largest_connected_component` would
+        # make real node e the aux node, and `hec` would leave e unranked
+        blocks = {2: ([[0, 1], [2, 3], [3, 4]], [1.0, 1.0, 1.0])}
+        for a in (-1, 5, 1.0, 4.5, True):
+            with pytest.raises(hr.DataError, match=rf"aux node {a!r} is not an index in 0\.\.4"):
+                hr.Hypergraph(5, labels=tuple("abcde"), aux=hr.AuxSpec((a,), (None,)),
+                              blocks=blocks)
+        h = hr.Hypergraph(5, aux=hr.AuxSpec((np.int64(4),), (None,)), blocks=blocks)
+        assert h.aux.nodes == (4,)
+
     def test_weights_must_match_edges(self):
         for weights in ([1.0], 1.0):
             with pytest.raises(hr.DataError, match="one per edge"):

@@ -15,7 +15,8 @@ import hyperrank as hr
 import reference
 from hyperrank.hypergraph import _edge_blocks, merge_rows
 from hyperrank.tensor import _CompositionTensor, _contraction, _uplifted, _UpliftTensor
-from hyperrank.uniformize import MAX_PROJECTED_ROWS, _composition_rows, projected_rows
+from hyperrank.uniformize import (_MAX_ORDER, MAX_PROJECTED_ROWS, _alpha, _composition_rows,
+                                  _compositions, projected_rows)
 from oracles import dense_apply
 
 
@@ -488,6 +489,48 @@ class TestUpliftDetectionMatchesReference:
     @settings(max_examples=150, deadline=None)
     def test_random_uniform_inputs(self, h):
         self.check(h)
+
+
+def drawn_compositions(total, parts, count=8):
+    """Up to `count` compositions of total into parts, each from seeded cut
+    points: sampled, as order 20 has 2^19 of them."""
+    rng = np.random.default_rng([total, parts])
+    cuts = {tuple(np.sort(rng.choice(np.arange(1, total), parts - 1, replace=False)).tolist())
+            for _ in range(count)}
+    return sorted(tuple(np.diff((0,) + c + (total,)).tolist()) for c in cuts)
+
+
+class TestCountsUpToOrderCap:
+    """Each arrangement count at every order up to the cap against the
+    reference's own form of it; the random draws above stay near order 6."""
+
+    orders = [(m, s) for m in range(2, _MAX_ORDER + 1) for s in range(1, m + 1)]
+
+    def test_alpha(self):
+        try:
+            for m, s in self.orders:
+                assert _alpha(m, s) == reference.alpha(m, s)
+        finally:  # the compositions of orders up to 20 hold about 130 MB
+            _compositions.cache_clear()
+
+    def test_kernel_counts(self):
+        # one row that repeats its node j comp[j] times: the tensor's one
+        # kernel holds weight 1 times each column's count
+        for m, s in self.orders:
+            for comp in drawn_compositions(m, s):
+                row = np.repeat(np.arange(s), comp)
+                t = hr.from_hypergraph(hr.Hypergraph(s, blocks={m: ([row], [1.0])}))
+                (_, _, coef, _), = t._apply_arrays
+                _, want, _ = reference.apply_rows(m, t.entries)
+                assert coef.tolist() == [want.tolist()]
+
+    def test_omega(self):
+        triangle = hr.Hypergraph.from_edge_list([[0, 1], [1, 2], [0, 2]])
+        for m in range(3, _MAX_ORDER + 1):
+            for s in range(1, m - 1):
+                for p in drawn_compositions(m - 2, s):
+                    pair = hr.z_via_uplift(hr.multi_uplift(triangle, m, p), "z2")
+                    assert pair.omega == reference.omega(m, p)
 
 
 class TestPreprocessMatchesReference:

@@ -183,8 +183,9 @@ def h_eigen_power(
     `labels` names the tensor's indices (default 0..dim-1) and `aux_indices`
     the auxiliary ones, reported in `aux_scores`. A disconnected hypergraph
     (the tensor is then not weakly irreducible), labels that are not `dim`
-    distinct hashables or an auxiliary index outside 0..dim-1 is refused with
-    a `DataError` before the iteration starts.
+    distinct hashables or an auxiliary index that is not an integer in
+    0..dim-1 (a bool is none) is refused with a `DataError` before the
+    iteration starts.
     """
     opts = options or SolverOptions()
     _require_connected(t.hypergraph)  # weak irreducibility; cached per hypergraph
@@ -195,7 +196,8 @@ def h_eigen_power(
         raise DataError(f"{len(labels)} labels for a tensor on {n} indices")
     if len(_distinct_labels(labels)) != n:
         raise DataError("labels must be distinct")
-    if any(not 0 <= i < n for i in aux_indices):
+    if any(isinstance(i, bool) or not isinstance(i, Integral) or not 0 <= i < n
+           for i in aux_indices):
         raise DataError(f"auxiliary indices {tuple(aux_indices)} are not all in 0..{n - 1}")
     if opts.seed is not None:
         x = np.random.default_rng(opts.seed).uniform(0.5, 1.5, size=n)
@@ -203,34 +205,38 @@ def h_eigen_power(
     else:
         x = np.full(n, 1.0 / n)
     contract = _contraction(t)  # its buffers serve every step of this solve
+    ratios = np.empty(n)
     e = m - 1
     rho = 0.0
     width_1 = width_2 = math.inf  # bracket widths one and two steps back
-    for iterations in range(1, opts.max_iter + 1):  # max_iter >= 1: at least once
-        xe = x**e
-        tx = contract(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = tx / xe
-        lam_lo, lam_hi = float(ratios.min()), float(ratios.max())
-        if not (math.isfinite(lam_lo) and math.isfinite(lam_hi) and lam_hi > 0):
-            raise ConvergenceError(
-                f"eigenvalue bracket [{lam_lo}, {lam_hi}] at iteration "
-                f"{iterations} is not finite and positive: {_UNDERFLOW_MSG}"
-            )
-        width = lam_hi - lam_lo
-        converged = width <= opts.tol * lam_hi
-        if converged or iterations == opts.max_iter:
-            break
-        if rho == 0.0 and (lam_lo == 0.0 or width > (1.0 - _STALL_DELTA) * width_2):
-            rho = _SHIFT_FRACTION * lam_hi
-        width_1, width_2 = width, width_1
-        y = tx + rho * xe
-        if not (y > 0).all():
-            raise ConvergenceError(
-                f"iteration {iterations} produced a zero component: {_UNDERFLOW_MSG}"
-            )
-        x = y ** (1.0 / e)
-        x /= x.sum()
+    # a zero component of x^[m-1] makes a ratio infinite or NaN: the bracket
+    # check below refuses it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for iterations in range(1, opts.max_iter + 1):  # max_iter >= 1: at least once
+            xe = x**e
+            tx = contract(x)
+            np.divide(tx, xe, out=ratios)
+            # NaN propagates through both reductions, as through min and max
+            lam_lo, lam_hi = float(np.minimum.reduce(ratios)), float(np.maximum.reduce(ratios))
+            if not (math.isfinite(lam_lo) and math.isfinite(lam_hi) and lam_hi > 0):
+                raise ConvergenceError(
+                    f"eigenvalue bracket [{lam_lo}, {lam_hi}] at iteration "
+                    f"{iterations} is not finite and positive: {_UNDERFLOW_MSG}"
+                )
+            width = lam_hi - lam_lo
+            converged = width <= opts.tol * lam_hi
+            if converged or iterations == opts.max_iter:
+                break
+            if rho == 0.0 and (lam_lo == 0.0 or width > (1.0 - _STALL_DELTA) * width_2):
+                rho = _SHIFT_FRACTION * lam_hi
+            width_1, width_2 = width, width_1
+            y = tx + rho * xe
+            if not np.minimum.reduce(y) > 0:  # NaN fails too
+                raise ConvergenceError(
+                    f"iteration {iterations} produced a zero component: {_UNDERFLOW_MSG}"
+                )
+            x = y ** (1.0 / e)
+            x /= np.add.reduce(x)
     eigenvalue = 0.5 * (lam_lo + lam_hi)
     residual = _relative_residual(tx, eigenvalue, xe)
 

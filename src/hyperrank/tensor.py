@@ -9,9 +9,10 @@ whose support is the row's multiset of nodes. The represented array has an
 entry's value at every index tuple whose multiset of indices equals its
 support. `_kernels` builds every tensor's contraction kernels, one per
 multiplicity pattern (a composition of the order) with `_multinomial`
-arrangement counts, on arrays the tensor owns, on first use; `apply`
-allocates its work arrays per call, the power method once per solve
-(`_contraction`). The read-only
+arrangement counts, on arrays the tensor owns, on first use.
+`_contraction` plans a contraction once, for one `apply` call or for every
+step of a solve: its gathers, each distinct leave-one-out product taken
+once, and one ordered `np.add.at` accumulation per kernel. The read-only
 `UniformTensor.entries` view lists the (support, value) pairs on demand for
 `flattening_matrix` and `dense_oracle`, which exist for cross-checking on
 small instances; nothing is densified in production paths.
@@ -101,7 +102,7 @@ def _kernels(groups) -> tuple:
     mults[j] - 1 times, then every other column l repeated mults[l] times.
 
     Callers pass rows and cells that they own, writable: numpy copies a
-    read-only `take` index or `bincount` input on every call.
+    read-only `take` index on every call.
     """
     kernels = []
     for mults, rows, cells, value in sorted(groups, key=lambda g: g[0], reverse=True):
@@ -250,13 +251,18 @@ def _uplifted(g: Hypergraph, m: int) -> Union[UniformTensor, _UpliftTensor]:
 
 
 def _contraction(t):
-    """`apply` on t as a function of a float vector of length t.dim. Each
-    kernel's gather and term buffers are allocated here, once, and refilled
-    on every call by the multiplications of a fresh contraction, in their
-    order, so every result is bit-identical to one. Kernels on one rows
-    array (a composition view's) share its gather. A solver builds one
-    contraction per solve: no two threads share buffers (numpy releases the
-    GIL inside `take` and `multiply`). An uplift view adds its parts' contractions, scaled.
+    """`apply` on t as a function of a float vector of length t.dim, planned
+    here once: a solver builds one contraction per solve. Kernels on one rows
+    array (a composition view's) share its gather and one prefix tree of
+    their leave-one-out sequences, and each distinct prefix of two or more
+    factors is one `np.multiply` on prebuilt column views, into its term
+    column or a depth-first partial-product buffer. Then each kernel scales
+    its terms and `np.add.at` adds them into its cells in order, the first
+    kernel straight into y and each later one through one zeroed buffer.
+    Every product and sum is a fresh contraction's, so every result is
+    bit-identical to one. No two threads share buffers (numpy releases the
+    GIL inside `take` and `multiply`). An uplift view adds its parts'
+    contractions, scaled.
     """
     if isinstance(t, _UpliftTensor):
         n, m, parts = t.dim - 1, t.order, []
@@ -275,39 +281,60 @@ def _contraction(t):
                 y[:n] += z
             return y
         return contract_uplift
-    dim, arrays = t.dim, t._apply_arrays
-    # products of 3 or more factors build up here, one kernel at a time
-    scratch = np.empty(max(len(rows) for rows, _, _, _ in arrays))
-    gathers, gathered, kernels = [], {}, []
+    dim, factors, arrays = t.dim, t.order - 1, t._apply_arrays
+    # a product of k factors, 2 <= k < factors, waits in partials[k - 2]
+    # while the products that extend it are taken, on any rows array
+    longest = max(len(rows) for rows, _, _, _ in arrays)
+    partials = [np.empty(longest) for _ in range(factors - 2)]
+    gathers, trees, kernels = [], {}, []
     for rows, cells, coef, sequences in arrays:
         terms = np.empty(coef.shape)
-        if len(sequences[0]) == 1:  # order 2: each term is one gathered factor
-            gathers.append((rows[:, [seq[0] for seq in sequences]].ravel(), terms.ravel()))
-            xr, sequences = None, ()
-        elif id(rows) in gathered:
-            xr = gathered[id(rows)]
-        else:  # gather in the rows' own layout, as `vec[rows]` does: a
-            # column-major kernel's products then read contiguous columns
+        flat = terms.ravel()
+        kernels.append((cells, coef, terms, flat))
+        if factors == 1:  # order 2: each term is one gathered factor
+            gathers.append((rows[:, [seq[0] for seq in sequences]].ravel(), flat))
+            continue
+        if id(rows) not in trees:  # gather in the rows' own layout, as
+            # `vec[rows]` does: a column-major kernel's products then read
+            # contiguous columns
             layout = "F" if np.isfortran(rows) else "C"
-            xr = gathered[id(rows)] = np.empty(rows.shape, order=layout)
+            xr = np.empty(rows.shape, order=layout)
             gathers.append((rows.ravel(layout), xr.ravel(layout)))
-        kernels.append((xr, cells, coef, sequences, terms, scratch[:len(rows)]))
+            trees[id(rows)] = (xr, {})
+        # no two sequences on one rows array are equal: column j's holds its
+        # pattern less one j, and two columns whose sequences hold the same
+        # multiset differ in their first factor
+        trees[id(rows)][1].update((seq, terms[:, j]) for j, seq in enumerate(sequences))
+    products = []
+    for xr, leaves in trees.values():
+        cols, held = [xr[:, l] for l in range(xr.shape[1])], [buf[:len(xr)] for buf in partials]
+        # sorted, the prefixes run depth-first: the one that a prefix
+        # extends is the last of its length taken before it
+        for p in sorted({seq[:k] for seq in leaves for k in range(2, factors + 1)}):
+            first = cols[p[0]] if len(p) == 2 else held[len(p) - 3]
+            # only a sequence's last product writes its strided term column
+            out = leaves[p] if len(p) == factors else held[len(p) - 2]
+            products.append((first, cols[p[-1]], out))
+    accumulator = np.empty(dim)
 
     def contract(vec: np.ndarray) -> np.ndarray:
         # the rows were range-checked when their hypergraph was built;
         # under mode="raise" numpy gathers into a temporary, then copies
         for index, out in gathers:
             np.take(vec, index, out=out, mode="clip")
+        for a, b, out in products:
+            np.multiply(a, b, out=out)
+        # `add.at` adds each term into its cell in term order, from +0.0, as
+        # `bincount` does: each kernel's sums reach y in kernel order
         y = np.zeros(dim)
-        for xr, cells, coef, sequences, terms, partial in kernels:
-            for j, (first, *rest) in enumerate(sequences):
-                # only a product's last step writes its strided column
-                product = xr[:, first]
-                for l in rest[:-1]:
-                    product = np.multiply(product, xr[:, l], out=partial)
-                np.multiply(product, xr[:, rest[-1]], out=terms[:, j])
+        for k, (cells, coef, terms, flat) in enumerate(kernels):
             terms *= coef
-            y += np.bincount(cells, weights=terms.ravel(), minlength=dim)
+            if k:
+                accumulator.fill(0.0)
+                np.add.at(accumulator, cells, flat)
+                y += accumulator
+            else:
+                np.add.at(y, cells, flat)
         return y
 
     return contract
@@ -321,8 +348,9 @@ def apply(t: UniformTensor, x: ArrayLike) -> np.ndarray:
     Accepts signed input; equals the dense contraction exactly up to float
     rounding of a pattern-ordered reduction (deterministic). Per pattern this
     is one gather, the leave-one-out products of each column (multiplied in
-    support order, so nodes in symmetric positions get bit-identical terms)
-    and one bincount.
+    support order, so nodes in symmetric positions get bit-identical terms;
+    a product that two columns share is taken once) and one ordered
+    `np.add.at` accumulation.
 
     On an order-m uplift view, with z_s an order-s part's contraction of the
     real part x[:n], x_* the star's component and k = m - s >= 1, y[:n]

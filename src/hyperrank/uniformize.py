@@ -247,10 +247,11 @@ def _multinomial(counts) -> int:
     return math.factorial(sum(counts)) // math.prod(math.factorial(c) for c in counts)
 
 
-@lru_cache(maxsize=None)
 def _alpha(m: int, s: int) -> int:
-    """Number of index tuples of length m drawn onto s nodes, all present."""
-    return sum(_multinomial(comp) for comp in _compositions(m, s))
+    """Number of index tuples of length m drawn onto s nodes, all present:
+    the surjections onto s nodes, s^m less the tuples that miss a node, by
+    inclusion-exclusion over the j nodes missed, exact."""
+    return sum((-1) ** j * math.comb(s, j) * (s - j) ** m for j in range(s + 1))
 
 
 def _check_composable(h: Hypergraph, m: int) -> None:

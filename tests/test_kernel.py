@@ -16,7 +16,7 @@ import reference
 from hyperrank.hypergraph import _edge_blocks, merge_rows
 from hyperrank.tensor import _CompositionTensor, _contraction, _uplifted, _UpliftTensor
 from hyperrank.uniformize import (_MAX_ORDER, MAX_PROJECTED_ROWS, _alpha, _composition_rows,
-                                  _compositions, projected_rows)
+                                  projected_rows)
 from oracles import dense_apply
 
 
@@ -244,6 +244,29 @@ class TestCompositionView:
         assert take.call_count == len(g.blocks)  # one gather per size
         assert view.entries == want.entries
 
+    @pytest.mark.parametrize("m", [5, 6, 7])
+    def test_each_product_is_taken_once(self, m):
+        # the sequences on one rows array (every composition of one size)
+        # share their products: one multiplication per distinct prefix of
+        # two or more factors, where a chain per sequence takes one for each
+        # factor after its first
+        g = hr.Hypergraph.from_edge_list([[0, 1], [1, 2, 3], [0, 2, 3, 4], [1, 2, 3, 4, 5]])
+        view = _CompositionTensor(g, m)
+        prefixes, steps = {}, 0
+        for rows, _, _, sequences in view._apply_arrays:
+            for seq in sequences:
+                prefixes.setdefault(id(rows), set()).update(
+                    seq[:k] for k in range(2, len(seq) + 1))
+                steps += len(seq) - 1
+        distinct = sum(map(len, prefixes.values()))
+        assert len(prefixes) == len(g.blocks) and distinct < steps
+        if m == 5:
+            assert (steps, distinct) == (141, 108)
+        contract = _contraction(view)
+        with mock.patch.object(np, "multiply", wraps=np.multiply) as multiply:
+            contract(np.full(view.dim, 1.0 / view.dim))
+        assert multiply.call_count == distinct
+
     @pytest.mark.parametrize("h, m, message", [
         # 217 rows of size 10 make C(19, 9) = 92,378 composition rows each
         (hr.Hypergraph(217 * 9 + 1, blocks={10: (
@@ -330,10 +353,10 @@ class TestKernelOwnership:
            st.booleans(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_contraction_reads_only_arrays_its_tensor_owns(self, h, kind, gauged, data):
-        # numpy copies a read-only `take` index or `bincount` input on every
-        # call: every kernel's rows and cells are writable arrays that the
-        # tensor made, and the compositions of one size share them: one
-        # column-major copy of the rows, also when every row has size m
+        # numpy copies a read-only `take` index on every call: every
+        # kernel's rows and cells are writable arrays that the tensor made,
+        # and the compositions of one size share them: one column-major copy
+        # of the rows, also when every row has size m
         if kind == "alt":
             m = data.draw(st.integers(max(2, h.max_size - 2), 7))
             t = _CompositionTensor(hr.project(h, m), m)
@@ -352,11 +375,14 @@ class TestKernelOwnership:
             t = gauge(t)
         contract = _contraction(t)
         with mock.patch.object(np, "take", wraps=np.take) as take, \
-                mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+                mock.patch.object(np, "add", wraps=np.add) as add:
             contract(np.full(t.dim, 1.0 / t.dim))
         assert all(call.args[1].flags.writeable for call in take.call_args_list)
-        assert all(call.args[0].flags.writeable for call in bincount.call_args_list)
-        assert bincount.call_count == len(kernels)
+        # one accumulation per kernel, in kernel order, into its own cells
+        accumulations = add.at.call_args_list
+        assert len(accumulations) == len(kernels)
+        for call, (_, cells, _, _) in zip(accumulations, kernels):
+            assert call.args[1] is cells and call.args[1].flags.writeable
 
 
 class TestPipelinesMatchReference:
@@ -507,11 +533,8 @@ class TestCountsUpToOrderCap:
     orders = [(m, s) for m in range(2, _MAX_ORDER + 1) for s in range(1, m + 1)]
 
     def test_alpha(self):
-        try:
-            for m, s in self.orders:
-                assert _alpha(m, s) == reference.alpha(m, s)
-        finally:  # the compositions of orders up to 20 hold about 130 MB
-            _compositions.cache_clear()
+        for m, s in self.orders:
+            assert _alpha(m, s) == reference.alpha(m, s)
 
     def test_kernel_counts(self):
         # one row that repeats its node j comp[j] times: the tensor's one

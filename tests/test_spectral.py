@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ class TestHEigenPower:
         for labels in (("a", "a", "b"), ("a", ["b"], "c")):
             with pytest.raises(hr.DataError, match="labels"):
                 hr.h_eigen_power(path, labels=labels)
+
+    def test_rejects_aux_indices_that_are_not_integers(self):
+        # refused before the first contraction, not a TypeError after the
+        # whole solve or numpy's error from x[True]
+        t = hr.from_hypergraph(hr.Hypergraph.from_edge_list([[0, 1], [1, 2], [0, 2], [2, 3]]))
+        for aux in ((1.5,), (True,), (np.bool_(True),), (np.float64(1.0),), ("1",)):
+            with mock.patch("hyperrank.spectral._contraction", side_effect=AssertionError), \
+                    pytest.raises(hr.DataError, match="auxiliary"):
+                hr.h_eigen_power(t, aux_indices=aux)
+        res = hr.h_eigen_power(t, aux_indices=(np.int64(1),))
+        assert list(res.aux_scores) == [1] and res.labels == (0, 2, 3)
 
     def test_max_iter_flags_nonconverged(self, example6):
         t = hr.from_hypergraph(hr.uplift_project(example6, 2))

@@ -437,8 +437,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="dataset prefix or directory (simplicial text format)")
     sub.add_argument("--lcc", action="store_true",
                      help="analyze the largest connected component when disconnected")
-    sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--max-iter", dest="max_iter", type=int, default=100_000)
+    sub.add_argument("--tol", type=float, default=SolverOptions.tol)
+    sub.add_argument("--max-iter", dest="max_iter", type=int, default=SolverOptions.max_iter)
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for a random positive start vector (default: uniform start)")
     sub.add_argument("--aux-gauge", dest="aux_gauge", action="store_true",

@@ -237,14 +237,13 @@ class Hypergraph:
 
     def with_labels(self, labels: tuple) -> "Hypergraph":
         """The same hypergraph under new node labels."""
-        return _hand_on_connected(
-            self, Hypergraph(self.n, labels=labels, aux=self.aux, blocks=self.blocks))
+        return Hypergraph(self.n, labels=labels, aux=self.aux, blocks=self.blocks)
 
     @cached_property
     def _component_roots(self) -> np.ndarray:
         """`component_roots` over every block: computed once per hypergraph,
-        or handed on by a construction from a connected input
-        (`_hand_on_connected`)."""
+        or handed on by `project` from a connected input (`_hand_on_connected`)
+        and set by the largest-component extraction (`_mark_connected`)."""
         return component_roots(self.n, (rows for rows, _ in self.blocks.values()))
 
     @cached_property
@@ -326,10 +325,9 @@ def _mark_connected(h: Hypergraph) -> Hypergraph:
 
 
 def _hand_on_connected(source: Hypergraph, out: Hypergraph) -> Hypergraph:
-    """`out`, marked connected when `source` is known to be: its roots are
-    cached, it has nodes, and every root is 0. For constructions that map a
-    connected input to a connected output; an input whose roots were never
-    computed hands nothing on, so no pass runs here."""
+    """`out`, marked connected when `source` has nodes and cached roots that
+    are all 0; for `project`, whose output is connected when its input is.
+    An input whose roots were never computed hands nothing on: no pass runs."""
     roots = source.__dict__.get("_component_roots")
     if roots is not None and source.n > 0 and not roots.any():
         _mark_connected(out)

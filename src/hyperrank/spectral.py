@@ -28,8 +28,8 @@ from .hypergraph import (AuxSpec, Hypergraph, _distinct_labels, component_roots,
 from .tensor import (ScoreVector, UniformTensor, _as_array, _CompositionTensor,
                      _contraction, _norm_value, _uplifted, _UpliftTensor, apply,
                      from_hypergraph)
-from .uniformize import (_check_max_order, _check_uplift_project, _multinomial, _row_budget,
-                         project)
+from .uniformize import (_check_max_order, _check_uplift, _check_uplift_project, _multinomial,
+                         _row_budget)
 
 __all__ = [
     "SolverOptions",
@@ -62,8 +62,9 @@ class SolverOptions:
     restart-agreement checks). The shift is not a setting: `h_eigen_power`
     picks it. Construction refuses, with a `DataError` naming the field, a
     `max_iter` or `seed` that is not an integer, a `tol` that is not a real
-    number (a bool is neither), `max_iter` < 1, a negative, infinite or NaN
-    `tol` and a negative `seed`.
+    number (a bool is neither), `max_iter` < 1, an infinite or NaN `tol` or
+    one below 1e-14, which a bracket a few float spacings of the eigenvalue
+    wide may never meet in `max_iter` steps, and a negative `seed`.
     """
 
     tol: float = 1e-10
@@ -79,8 +80,8 @@ class SolverOptions:
                 raise DataError(f"{name} must be {what}, got {value!r}")
         if self.max_iter < 1:
             raise DataError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not 0 <= self.tol < math.inf:
-            raise DataError(f"tol must be nonnegative and finite, got {self.tol}")
+        if not 1e-14 <= self.tol < math.inf:
+            raise DataError(f"tol must be finite and at least 1e-14, got {self.tol}")
         if self.seed is not None and self.seed < 0:
             raise DataError(f"seed must be nonnegative, got {self.seed}")
 
@@ -279,6 +280,7 @@ def _solve_uniformized(
     """Solve on the tensor t of a uniformized hypergraph or, when `aux_gauge`
     is set, on its aux-gauged view: the tensor uplifted one more order."""
     if aux_gauge:  # t is the one part of its uplift one order up
+        _check_max_order(t.order + 1)
         t = _UpliftTensor((t,), t.order + 1, t.hypergraph)
     return h_eigen_power(t, options, labels=t.labels, aux_indices=t.aux.nodes,
                          method=method)
@@ -306,6 +308,7 @@ def uhec(
     auxiliary components are reported separately at their raw solver values.
     """
     _require_connected(h)
+    _check_uplift(h, m)
     return _solve_uniformized(_uplifted(h, m), f"UHEC({m})", options, aux_gauge)
 
 
@@ -318,7 +321,7 @@ def uphec(
     """Project edges above order p, uplift the rest, and solve at order p."""
     _require_connected(h)
     _check_uplift_project(h, p)
-    return _solve_uniformized(_uplifted(project(h, p), p), f"UPHEC({p})", options, aux_gauge)
+    return _solve_uniformized(_uplifted(h, p), f"UPHEC({p})", options, aux_gauge)
 
 
 def alt_centrality(
@@ -335,8 +338,7 @@ def alt_centrality(
     expanded rows (`tensor._CompositionTensor`).
     """
     _require_connected(h)
-    return _solve_uniformized(_CompositionTensor(project(h, m), m), f"ALT({m})", options,
-                              aux_gauge)
+    return _solve_uniformized(_CompositionTensor(h, m), f"ALT({m})", options, aux_gauge)
 
 
 # ──────────────────────────────────────────────────────────────────────

@@ -19,8 +19,10 @@ small instances; nothing is densified in production paths.
 
 The uplift, the aux gauge included, is `_UpliftTensor`: a view that scales
 its parts' contractions and pads no row. Nor is the composition construction
-a tensor of its own: `_CompositionTensor` contracts with its input's rows,
-once per size, and builds `alternative_uniformization` only for its `entries`.
+a tensor of its own: `_CompositionTensor` contracts with its rows, once per
+size, and builds `alternative_uniformization` only for its `entries`. Both
+views project the pipeline's input themselves and keep the projection, to
+which `project` hands a connected input's verdict, as `hypergraph`.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import numpy as np
 
 from .errors import DataError
 from .hypergraph import Hypergraph, Support
-from .uniformize import (_alpha, _check_composable, _check_max_order, _check_uplift,
-                         _compositions, _multinomial, _starred, alternative_uniformization,
+from .uniformize import (_alpha, _check_composable, _check_max_order, _compositions,
+                         _multinomial, _starred, alternative_uniformization, project,
                          star_factor)
 
 NORMS = ("l1", "l2", "none")
@@ -177,9 +179,9 @@ def from_hypergraph(h: Hypergraph) -> UniformTensor:
 
 class _CompositionTensor:
     """The tensor of `alternative_uniformization(g, m)` without building it,
-    with g as its `hypergraph`: order m on g's n indices, weakly irreducible
-    exactly when g is connected. It refuses what the construction refuses,
-    with the same messages.
+    where g is `project(h, m)`, kept as its `hypergraph`: order m on g's n
+    indices, weakly irreducible exactly when g is connected. It refuses what
+    the projection and the construction refuse, with the same messages.
 
     A size-s row r and a composition c of m into s parts make the row that
     repeats r[j] c[j] times: its distinct nodes are r and its multiplicity
@@ -188,7 +190,8 @@ class _CompositionTensor:
     coefficients (w * s / alpha(m, s)) times c's arrangement counts.
     """
 
-    def __init__(self, g: Hypergraph, m: int):
+    def __init__(self, h: Hypergraph, m: int):
+        g = project(h, m)
         _check_composable(g, m)
         if not g.blocks:
             raise DataError("cannot build a tensor from an edgeless hypergraph")
@@ -224,10 +227,9 @@ class _UpliftTensor:
     `dim` n+1 indices, the star last. Its `hypergraph` is the hypergraph
     whose connectivity makes the view weakly irreducible (the star joins
     every short row): the pipeline's checked input, or the projection that
-    `project` hands that verdict to."""
+    `project` hands that verdict to. Its callers state its refusals."""
 
     def __init__(self, parts: tuple, m: int, hypergraph: Hypergraph):
-        _check_max_order(m)
         self.parts, self.hypergraph, self.order = parts, hypergraph, m
         self.dim = parts[0].dim + 1
         self.labels, self.aux = _starred(parts[0].labels, parts[0].aux)
@@ -241,10 +243,12 @@ class _UpliftTensor:
         return tuple(sorted(out, key=lambda entry: entry[0]))
 
 
-def _uplifted(g: Hypergraph, m: int) -> Union[UniformTensor, _UpliftTensor]:
-    """The tensor of `uplift(g, m)`, with its refusals, as a view of g's size
-    classes; `UniformTensor(g)` when no edge needs padding."""
-    if _check_uplift(g, m):
+def _uplifted(h: Hypergraph, m: int) -> Union[UniformTensor, _UpliftTensor]:
+    """The tensor of `uplift(g, m)`, where g is `project(h, m)`, as a view of
+    g's size classes; `UniformTensor(g)` when no edge needs padding. Its
+    refusals are `project`'s: `uplift`'s are its callers' to state."""
+    g = project(h, m)
+    if all(s == m for s in g.blocks):
         return UniformTensor(g)
     return _UpliftTensor(tuple(UniformTensor(Hypergraph(g.n, g.labels, g.aux, blocks={s: b}))
                                for s, b in g.blocks.items()), m, g)
@@ -257,12 +261,11 @@ def _contraction(t):
     their leave-one-out sequences, and each distinct prefix of two or more
     factors is one `np.multiply` on prebuilt column views, into its term
     column or a depth-first partial-product buffer. Then each kernel scales
-    its terms and `np.add.at` adds them into its cells in order, the first
-    kernel straight into y and each later one through one zeroed buffer.
-    Every product and sum is a fresh contraction's, so every result is
-    bit-identical to one. No two threads share buffers (numpy releases the
-    GIL inside `take` and `multiply`). An uplift view adds its parts'
-    contractions, scaled.
+    its terms, `np.add.at` adds them into its cells of one zeroed buffer in
+    order, and the buffer is added into y. Every product and sum is a fresh
+    contraction's, so every result is bit-identical to one. No two threads
+    share buffers (numpy releases the GIL inside `take` and `multiply`). An
+    uplift view adds its parts' contractions, scaled.
     """
     if isinstance(t, _UpliftTensor):
         n, m, parts = t.dim - 1, t.order, []
@@ -327,14 +330,11 @@ def _contraction(t):
         # `add.at` adds each term into its cell in term order, from +0.0, as
         # `bincount` does: each kernel's sums reach y in kernel order
         y = np.zeros(dim)
-        for k, (cells, coef, terms, flat) in enumerate(kernels):
+        for cells, coef, terms, flat in kernels:
             terms *= coef
-            if k:
-                accumulator.fill(0.0)
-                np.add.at(accumulator, cells, flat)
-                y += accumulator
-            else:
-                np.add.at(y, cells, flat)
+            accumulator.fill(0.0)
+            np.add.at(accumulator, cells, flat)
+            y += accumulator
         return y
 
     return contract

@@ -13,9 +13,9 @@ subsets, and the composition construction repeats columns.
 
 Each rewrite maps a connected input to a connected output: an uplift's star
 joins edges that were already connected, the p-subsets (p >= 2) of an edge
-chain its nodes, and every composition row holds every node of its edge. So
-an input already known to be connected hands that verdict to its output's
-cached connectivity, and the solver's check finds no pass left to run.
+chain its nodes, and every composition row holds every node of its edge.
+Only `project`, whose output the solvers check, hands an input known to be
+connected that verdict, and the check finds no pass left to run.
 """
 
 from __future__ import annotations
@@ -120,9 +120,8 @@ def uplift(h: Hypergraph, m: int, counter: BuildCounter | None = None) -> Hyperg
         rows.append(r)
         weights.append(w)
     labels, aux = _starred(h.labels, h.aux)
-    return _hand_on_connected(h, Hypergraph(
-        h.n + 1, labels=labels, aux=aux,
-        blocks={m: (np.concatenate(rows), np.concatenate(weights))}))
+    return Hypergraph(h.n + 1, labels=labels, aux=aux,
+                      blocks={m: (np.concatenate(rows), np.concatenate(weights))})
 
 
 def multi_uplift(
@@ -151,8 +150,7 @@ def multi_uplift(
     pad = np.repeat(np.array(aux_nodes, dtype=np.int64), p)
     rows = np.hstack([rows, np.broadcast_to(pad, (len(rows), len(pad)))])
     aux = AuxSpec(h.aux.nodes + aux_nodes, h.aux.multiplicities + p)
-    return _hand_on_connected(h, Hypergraph(h.n + len(p), labels=tuple(labels), aux=aux,
-                                            blocks={m: (rows, weight)}))
+    return Hypergraph(h.n + len(p), labels=tuple(labels), aux=aux, blocks={m: (rows, weight)})
 
 
 def _row_budget(total: int, claim: str, advice: str = "") -> int:
@@ -182,9 +180,9 @@ def project(h: Hypergraph, p: int, counter: BuildCounter | None = None) -> Hyper
     if p < 2:
         raise DataError(f"projection order must be >= 2, got {p}")
     _check_max_order(p)
-    projected_rows(h.edge_sizes(), p)
     if h.max_size <= p:
         return h
+    projected_rows(h.edge_sizes(), p)
     blocks = {}
     rows_p, weights_p = [], []
     for s, (rows, w) in h.blocks.items():
@@ -282,4 +280,4 @@ def alternative_uniformization(h: Hypergraph, m: int) -> Hypergraph:
             rows.append(np.repeat(r, comp, axis=1))
             weights.append(value)
     blocks = {m: (np.concatenate(rows), np.concatenate(weights))} if rows else {}
-    return _hand_on_connected(h, Hypergraph(h.n, labels=h.labels, aux=h.aux, blocks=blocks))
+    return Hypergraph(h.n, labels=h.labels, aux=h.aux, blocks=blocks)

@@ -352,6 +352,8 @@ class TestExitCodes:
         (["--tol", "nan"], "tol"),
         (["--tol", "inf"], "tol"),
         (["--seed", "-1"], "seed"),
+        (["--tol", "0"], "tol"),
+        (["--tol", "1e-16"], "tol"),
     ])
     def test_bad_solver_settings_before_ingest(self, tmp_path, capsys, command,
                                                setting, message):

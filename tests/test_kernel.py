@@ -172,8 +172,8 @@ def tensor_of(h, kind, m, gauged):
     tensor for "alt"; with `gauged`, its aux gauge."""
     if kind == "uplift":
         t = _uplifted(h, m)
-    elif kind == "uplift_project":
-        t = _uplifted(hr.project(h, m), m)
+    elif kind == "uplift_project":  # the view projects h itself
+        t = _uplifted(h, m)
     else:
         t = hr.from_hypergraph(build(h, kind, m, aux_gauge=False)[0])
     return gauge(t) if gauged else t
@@ -220,10 +220,10 @@ class TestCompositionView:
         # the view's kernels, a solver contraction over 3 successive vectors,
         # `apply` and the entries are those of the materialized ALT tensor
         m = data.draw(st.integers(max(2, h.max_size - 2), 7))
-        g = hr.project(h, m)
-        view = _CompositionTensor(g, m)
+        view = _CompositionTensor(h, m)
+        g = view.hypergraph  # the view projects h itself
+        assert g.edges == hr.project(h, m).edges
         want = hr.from_hypergraph(hr.alternative_uniformization(g, m))
-        assert view.hypergraph is g
         assert (view.order, view.dim) == (want.order, want.dim)
         for (rows, cells, coef, seq), (w_rows, w_cells, w_coef, w_seq) in zip(
                 view._apply_arrays, want._apply_arrays, strict=True):
@@ -291,14 +291,12 @@ class TestUpliftView:
     def test_view_is_the_materialized_uplift(self, h, projected, bump, gauged, data):
         # uhec's and uphec's tensor, and the aux gauge over it, as views of
         # the size classes are the tensors of the padded rows
-        if projected:
-            m = data.draw(st.integers(2, h.max_size))
-            g = hr.project(h, m)
-        else:
-            g, m = h, h.max_size + bump
-        view, up = _uplifted(g, m), hr.uplift(g, m)
-        assert view.hypergraph is g
-        if up is g:  # uplift's identity case: no star
+        m = data.draw(st.integers(2, h.max_size)) if projected else h.max_size + bump
+        projection = hr.project(h, m)  # h itself when no edge exceeds m
+        view, up = _uplifted(h, m), hr.uplift(projection, m)
+        g = view.hypergraph  # the view projects h itself
+        assert g.edges == projection.edges
+        if up is projection:  # uplift's identity case: no star
             assert type(view) is hr.UniformTensor
         if gauged:
             view, up = gauge(view), hr.uplift(up, m + 1)
@@ -359,7 +357,7 @@ class TestKernelOwnership:
         # of the rows, also when every row has size m
         if kind == "alt":
             m = data.draw(st.integers(max(2, h.max_size - 2), 7))
-            t = _CompositionTensor(hr.project(h, m), m)
+            t = _CompositionTensor(h, m)
         else:
             m = data.draw(st.integers(2, h.max_size)) if kind == "uplift_project" \
                 else h.max_size

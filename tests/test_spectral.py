@@ -185,7 +185,7 @@ class TestShift:
         ("max_iter", 0), ("max_iter", -3), ("tol", -1.0), ("tol", float("nan")),
         ("tol", float("inf")), ("max_iter", 2.5), ("max_iter", True), ("max_iter", None),
         ("tol", "x"), ("tol", True), ("seed", 1.5), ("seed", False), ("seed", "1"),
-        ("seed", -1),
+        ("seed", -1), ("tol", 0.0), ("tol", 1e-15),
     ])
     def test_rejects_bad_shift(self, field, value):
         # the shift is not a setting; the settings that remain are refused
@@ -193,8 +193,10 @@ class TestShift:
         # them in a stored manifest: a bool is no count and no tolerance
         with pytest.raises(hr.DataError, match=field):
             hr.SolverOptions(**{field: value})
-        # numpy scalars are numbers like any other
+        # numpy scalars are numbers like any other, and the tolerance floor
+        # is a tolerance the solver takes
         hr.SolverOptions(tol=np.float32(1e-6), max_iter=np.int64(5), seed=np.uint8(1))
+        assert hr.SolverOptions(tol=1e-14).tol == 1e-14
 
     def test_underflow_fails_fast(self):
         t = underflow_chain()

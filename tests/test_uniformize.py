@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import hyperrank as hr
 from hyperrank.hypergraph import component_roots
 from hyperrank.spectral import _require_connected
-from hyperrank.tensor import _UpliftTensor
+from hyperrank.tensor import _CompositionTensor, _uplifted, _UpliftTensor
 from oracles import project_weight_scan, random_hypergraph
 
 
@@ -233,33 +233,44 @@ class TestInvariants:
     @given(small_hypergraphs(), st.integers(0, 2), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_connectivity_preserved(self, h, bump, known):
-        # each construction a pipeline solves on maps a connected input to a
-        # connected output; it hands the input's verdict to the output's
-        # cached roots only when the input's roots were already computed and
-        # name one component, and a handed-on verdict is a fresh pass's
+        # every construction maps a connected input to a connected output,
+        # by a fresh pass; only `project` hands the input's verdict to its
+        # output's cached roots, when the input's roots were already
+        # computed and name one component, and a handed-on verdict is a
+        # fresh pass's; every view a pipeline solves on has a connected
+        # hypergraph, whose check then needs no pass of its own
         if known:
             hr.is_strongly_connected(h)
         m = h.max_size + bump
-        built = [hr.uplift(h, m), hr.multi_uplift(hr.uplift(h, m), m + 2, (1, 1)),
-                 h.with_labels(tuple(f"v{i}" for i in range(h.n)))]
-        built += [hr.project(h, p) for p in range(2, h.max_size + 1)]
-        built += [hr.uplift_project(h, p) for p in range(2, h.max_size + 1)]
-        built += [hr.alternative_uniformization(hr.project(h, k), k) for k in range(2, m + 1)]
+        orders = range(2, m + 1)
+        projections = [hr.project(h, p) for p in orders]
+        others = [hr.uplift(h, m), hr.multi_uplift(hr.uplift(h, m), m + 2, (1, 1)),
+                  h.with_labels(tuple(f"v{i}" for i in range(h.n)))]
+        others += [hr.uplift(g, p) for p, g in zip(orders, projections)]
+        others += [hr.alternative_uniformization(g, p) for p, g in zip(orders, projections)]
+        views = [_uplifted(h, p) for p in orders] + [_CompositionTensor(h, p) for p in orders]
+        views += [hr.from_hypergraph(g) for g in projections if g.is_uniform()]
+        views += [_UpliftTensor((t,), t.order + 1, t.hypergraph) for t in views]  # the gauge
         connected = hr.is_strongly_connected(h)
-        for g in built:
+        for g in projections + others:
             fresh = component_roots(g.n, [rows for rows, _ in g.blocks.values()])
             if connected:
                 assert not fresh.any()
-            if g is not h:  # not an identity rewrite
-                handed = "_component_roots" in vars(g)
+            if g is h:  # an identity rewrite
+                continue
+            handed = "_component_roots" in vars(g)
+            if any(g is q for q in projections):  # also an uplift that pads nothing
                 assert handed == (known and connected)
                 if handed:
                     assert np.array_equal(g._component_roots, fresh)
-            if connected and g.is_uniform():
-                t = hr.from_hypergraph(g)
-                for u in (t, _UpliftTensor((t,), t.order + 1, g)):  # the gauge checks g
-                    assert hr.is_strongly_connected(u.hypergraph)
-                    _require_connected(u.hypergraph)
+            else:
+                assert not handed
+        if connected:
+            for u in views:
+                if known:  # h's own roots, or the verdict `project` handed on
+                    assert "_component_roots" in vars(u.hypergraph)
+                assert hr.is_strongly_connected(u.hypergraph)
+                _require_connected(u.hypergraph)
 
     @given(small_hypergraphs())
     @settings(max_examples=40, deadline=None)

@@ -349,7 +349,7 @@ def cmd_centrality(args) -> int:
 def _parse_compare_tag(tag: str) -> tuple[str, int, str]:
     """A tag such as `u3` as (method, order, column name)."""
     tag = tag.strip().lower()
-    if tag[:1] not in _TAGS or not tag[1:].isdigit():
+    if tag[:1] not in _TAGS or not tag[1:].isdecimal():
         raise UsageError(
             f"unknown method tag {tag!r}: expected u<p>, h<m>, or a<m>"
         )

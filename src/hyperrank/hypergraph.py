@@ -474,63 +474,53 @@ def _stream_total(sizes: np.ndarray) -> int:
     return int(sizes.sum(dtype=object))
 
 
-def _size_groups(sizes: np.ndarray, ids: np.ndarray):
-    """Entry k of `sizes` holds the next `sizes[k]` ids of `ids`. Yields each
-    distinct size s, largest first, with the entries of that size, ascending,
-    and their ids as an (E_s, s) array."""
-    if not len(sizes):
-        return
-    by_size = np.argsort(sizes, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    for entries in reversed(np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1)):
-        s = int(sizes[entries[0]])
-        yield s, entries, ids[starts[entries, None] + np.arange(s)]
-
-
-def _merged(chunks: list, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`merge_rows` over the (edges, rows) chunks of one size, in edge order."""
-    edges, rows = (np.concatenate(a) for a in zip(*chunks))
-    if len(chunks) > 1:  # distinct edge numbers: any sort gives the one order
-        order = np.argsort(edges)
-        edges, rows = edges[order], rows[order]
-    return merge_rows(rows, weight[edges])
-
-
 def _edge_blocks(sizes: np.ndarray, ids: np.ndarray, weight: np.ndarray,
                  keep_multiplicities: bool) -> tuple[Blocks, np.ndarray, np.ndarray]:
-    """The ingest kernel: edge k holds the next `sizes[k]` ids and weighs
-    `weight[k]`. Edges are sorted and lose repeated ids unless asked to keep
-    them. Returns each size s >= 2's edges as a block merged by `merge_rows`,
-    every edge's size after that, and the edges that held a repeated id.
+    """The ingest kernel: edge k holds the next `sizes[k]` ids, which are node
+    indices (>= 0), and weighs `weight[k]`. Each edge's ids are sorted and
+    lose their repeats unless asked to keep them. Returns each size s >= 2's
+    edges as a block merged by `merge_rows`, every edge's size after that,
+    and the edges that held a repeated id.
 
-    Each size's edges are sorted as the rows of one array, largest size first.
-    Only the rows that repeat an id are collapsed, into smaller sizes still to
-    come; a size that receives collapsed rows is put back in edge order, so
-    equal rows merge in input order."""
-    size = sizes.copy()
-    blocks, repeated = {}, []
-    collapsed: dict[int, list] = {}  # size -> (edges, rows) chunks it receives
-    for s, edges, rows in _size_groups(sizes, ids):
-        rows.sort(axis=1)
-        new = rows[:, 1:] != rows[:, :-1]
-        repeat = ~new.all(axis=1)
-        if repeat.any():
-            gone = edges[repeat]
-            repeated.append(gone)
-            if not keep_multiplicities:
-                first = np.hstack([np.ones((len(gone), 1), dtype=bool), new[repeat]])
-                size[gone] = first.sum(axis=1)
-                for c, k, crows in _size_groups(size[gone], rows[repeat][first]):
-                    collapsed.setdefault(c, []).append((gone[k], crows))
-                edges, rows = edges[~repeat], rows[~repeat]
-        chunks = [(edges, rows), *collapsed.pop(s, [])]
-        if s >= 2 and sum(len(e) for e, _ in chunks):
-            blocks[s] = _merged(chunks, weight)
-    for s, chunks in collapsed.items():  # sizes only collapsed rows reach
-        if s >= 2:
-            blocks[s] = _merged(chunks, weight)
-    repeated = np.sort(np.concatenate(repeated)) if repeated else np.zeros(0, np.int64)
-    return dict(sorted(blocks.items())), size, repeated
+    One sort orders the whole stream: id v of edge k is keyed k * span + v,
+    where span is the largest id + 1, so each edge's ids land ascending in
+    its own slots, and a repeated id is a key equal to its left neighbour.
+    Collapsing drops those keys. Each size's rows are gathered in edge order,
+    so equal rows merge in input order. A stream whose keys would pass the
+    int64 range (len(sizes) * span > 2**63 - 1) is refused with a
+    `DataError`."""
+    span = int(ids.max(initial=0)) + 1
+    if len(sizes) * span > np.iinfo(np.int64).max:
+        raise DataError(f"{len(sizes)} simplices over node indices up to {span - 1} "
+                        f"need sort keys beyond the int64 range")
+    key = np.repeat(np.arange(len(sizes)) * span, sizes)
+    key += ids
+    key.sort()
+    repeat = np.flatnonzero(key[1:] == key[:-1]) + 1  # the slots of repeated ids
+    dup = key[repeat] // span  # the edge of each
+    size = sizes
+    if not keep_multiplicities:
+        key = np.delete(key, repeat)
+        size = sizes - np.bincount(dup, minlength=len(sizes))
+    by_size = np.argsort(size)
+    count = np.bincount(size, minlength=2)
+    end = np.cumsum(count)
+    starts = np.cumsum(size) - size
+    groups = {}
+    for s in (np.flatnonzero(count[2:]) + 2).tolist():
+        edges = by_size[end[s] - count[s]:end[s]]
+        edges.sort()  # back in input order
+        # edge k's row: the s keys from its start (a window view), less k * span
+        rows = np.ndarray((len(key) - s + 1, s), key.dtype, key,
+                          strides=key.strides * 2)[starts[edges]]
+        rows -= (edges * span)[:, None]
+        groups[s] = rows, edges
+    del key, starts  # every row is gathered: free the stream before the merges
+    blocks = {}
+    for s in list(groups):
+        rows, edges = groups.pop(s)  # each size's rows go once merged
+        blocks[s] = merge_rows(rows, weight[edges])
+    return blocks, size, _sorted_distinct(dup)
 
 
 def _dense_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

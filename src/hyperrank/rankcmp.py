@@ -339,5 +339,5 @@ def write_curves_csv(path, curves: Mapping[tuple[str, str], Curve]) -> None:
     lines = ["method_a,method_b,K,tau"]
     for (tag_a, tag_b) in sorted(curves):
         for k, tau in curves[(tag_a, tag_b)]:
-            lines.append(f"{tag_a},{tag_b},{k},{tau:.12g}")
+            lines.append(f"{tag_a},{tag_b},{k},{_fmt(tau)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -267,6 +267,7 @@ class TestExitCodes:
         (["centrality", "--method", "uphec"], "--p is required for uphec"),
         (["compare", "--methods", "u2,U2"], "method tag 'U2' is repeated"),
         (["compare", "--methods", "u2,u3,u2"], "method tag 'U2' is repeated"),
+        (["compare", "--methods", "u2,u\u00b2"], "unknown method tag 'u\u00b2'"),
     ])
     def test_argument_errors_before_ingest(self, tmp_path, capsys, argv, message):
         prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)

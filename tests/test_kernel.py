@@ -19,6 +19,8 @@ from hyperrank.uniformize import (_MAX_ORDER, MAX_PROJECTED_ROWS, _alpha, _compo
                                   projected_rows)
 from oracles import dense_apply
 
+INT64 = np.iinfo(np.int64)
+
 
 @st.composite
 def hypergraphs(draw, n_max=6, size_max=4):
@@ -555,10 +557,13 @@ class TestCountsUpToOrderCap:
 
 
 class TestPreprocessMatchesReference:
-    @given(st.lists(st.lists(st.integers(0, 9), max_size=5), min_size=1, max_size=15),
+    @given(st.lists(st.lists(st.one_of(st.integers(0, 9), st.sampled_from(
+        [-1, INT64.min, INT64.max])), max_size=5), min_size=1, max_size=15),
            st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_report_labels_and_edges(self, simplices, keep):
+        # raw ids include negative and int64-extreme ones: the stream form
+        # densifies them before the ingest kernel sees them
         h, report = hr.build_preprocessed(simplices, keep_multiplicities=keep)
         labels, edges, want = reference.build_preprocessed(simplices, keep)
         assert report.as_dict() == want
@@ -602,7 +607,6 @@ class TestPreprocessMatchesReference:
         assert outcome(hr.Hypergraph.from_edge_list) == outcome(reference.from_edge_list)
 
 
-INT64 = np.iinfo(np.int64)
 # weights whose sums depend on their order: 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
 ORDERED_WEIGHTS = st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 1.0])
 # (row length s, bit length of the largest id) with s * bits at 62, 63 and 64;
@@ -660,15 +664,15 @@ class TestIngestKernel:
         assert spelled(*merge_rows(rows, weight)) == \
             spelled(*reference.merge_rows(rows, weight))
 
-    @given(st.lists(st.tuples(st.lists(st.one_of(st.integers(0, 5), st.sampled_from(
-        [INT64.min, -1, INT64.max])), max_size=6), ORDERED_WEIGHTS), max_size=12),
+    @given(st.lists(st.tuples(st.lists(st.one_of(st.integers(0, 5), st.just(2**40)),
+                                       max_size=6), ORDERED_WEIGHTS), max_size=12),
            st.booleans())
     @example([([1, 1, 2], 0.1), ([1, 2], 0.2), ([2, 1], 0.3)], False)
     @settings(max_examples=300, deadline=None)
     def test_edge_blocks_match_reference(self, edges, keep):
-        # simplices of sizes 0-6 over few ids, so repeats are common, with
-        # negative and int64-extreme ids; the same merged blocks (bytes), sizes
-        # after collapse and edges with repeats as the per-edge loop. In the
+        # simplices of sizes 0-6 over few node indices, so repeats are common,
+        # and a large index; the same merged blocks (bytes), sizes after
+        # collapse and edges with repeats as the per-edge loop. In the
         # example a collapsed edge comes first, so [1, 2] weighs
         # 0.1 + 0.2 + 0.3 = 0.6000000000000001, not 0.2 + 0.3 + 0.1 = 0.6.
         sizes = np.array([len(e) for e, _ in edges], dtype=np.int64)
@@ -681,6 +685,14 @@ class TestIngestKernel:
 
         assert spell(*_edge_blocks(sizes, ids, weight, keep)) == \
             spell(*reference.edge_blocks(sizes, ids, weight, keep))
+
+    def test_edge_blocks_refuse_keys_beyond_int64(self):
+        # 2^20 edges over indices up to 2^43 need keys up to 2^63: refused
+        # before anything is sorted, rather than wrapped into wrong edges
+        sizes = np.zeros(2**20, dtype=np.int64)
+        sizes[-1] = 1
+        with pytest.raises(hr.DataError, match="int64"):
+            _edge_blocks(sizes, np.array([2**43]), np.ones(len(sizes)), False)
 
 
 class TestMergeOnlyWhereRowsCollide:

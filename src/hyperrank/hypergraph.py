@@ -46,7 +46,7 @@ def _distinct_labels(labels: Sequence) -> set:
     except TypeError:
         for label in labels:
             _label_sort_key(label)  # raises for the first unhashable label
-        raise
+        raise  # pragma: no cover - a hashable label whose equality raises TypeError
 
 
 def _sorted_distinct(a) -> np.ndarray:
@@ -562,6 +562,7 @@ def preprocess_stream(
                         f"the id stream holds {len(ids)} ids")
     raw = len(sizes)
     node_ids, index = _dense_ids(ids)
+    del ids  # freed once densified when, as in `ingest_simplicial`, it is passed unnamed
     blocks, size, repeated = _edge_blocks(sizes, index, np.ones(raw), keep_multiplicities)
     kept = size >= 2
     used = np.zeros(len(node_ids), dtype=bool)

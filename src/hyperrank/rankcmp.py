@@ -271,16 +271,11 @@ def heatmap_and_curves(
 
 
 def default_ks(n: int) -> list[int]:
-    """Roughly geometric grid of 24 Ks from 10 up to n (n always included)."""
+    """Roughly geometric grid of 24 Ks from 10 up to n (n always included:
+    `np.geomspace` ends at n exactly); [n] when n is 2 to 10."""
     if n < 2:
         return []
-    start = min(10, n)
-    if n == start:
-        return [n]
-    grid = _sorted_distinct(np.round(np.geomspace(start, n, num=24)).astype(int)).tolist()
-    if grid[-1] != n:
-        grid.append(n)
-    return grid
+    return _sorted_distinct(np.round(np.geomspace(min(10, n), n, num=24)).astype(int)).tolist()
 
 
 def method_family(tag: str) -> str:

@@ -404,9 +404,7 @@ def z_via_uplift(h: Hypergraph, norm: str) -> ZEigenpair:
     is_aux = np.zeros(h.n, dtype=bool)
     is_aux[list(aux.nodes)] = True
     real = np.flatnonzero(~is_aux)
-    n_g = len(real)
-    if n_g < 2:
-        raise DataError("underlying pairwise graph needs at least 2 nodes")
+    n_g = len(real)  # at least 2: every edge keeps two distinct real nodes
     _row_budget(n_g * n_g,  # the dense adjacency matrix eigh solves
                 f"the dense eigensolver would hold {n_g * n_g} cells for {n_g} graph nodes")
 

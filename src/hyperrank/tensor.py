@@ -193,8 +193,6 @@ class _CompositionTensor:
     def __init__(self, h: Hypergraph, m: int):
         g = project(h, m)
         _check_composable(g, m)
-        if not g.blocks:
-            raise DataError("cannot build a tensor from an edgeless hypergraph")
         self.hypergraph = g
         self.order = m
         self.dim = g.n

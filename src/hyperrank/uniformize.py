@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
@@ -225,7 +224,6 @@ def _composition_rows(size_histogram: Mapping[int, int], m: int) -> int:
         "; choose a smaller order")
 
 
-@lru_cache(maxsize=None)
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """All orderings of positive integers summing to `total` in `parts` slots."""
     out = []

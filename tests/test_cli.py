@@ -123,6 +123,31 @@ class TestIngest:
         assert h.labels == ("a", "a (3)", "a (3) (3)")
         assert main(["centrality", "--method", "ec", "--input", prefix,
                      "--out", str(tmp_path / "ec.csv")]) == 0, capsys.readouterr().err
+        # id 7 is labelled "5", which is how the CSV prints unlabelled id 5:
+        # names collide by their text, so id 7's label gains " (7)"
+        prefix = write_dataset(tmp_path, [2, 2, 2], [5, 7, 7, 9, 9, 5],
+                               labels=[(7, "5")], prefix="ids")
+        h, _ = ingest_simplicial(f"{prefix}-nverts.txt", f"{prefix}-simplices.txt",
+                                 f"{prefix}-node-labels.txt")
+        assert h.labels == (5, "5 (7)", 9)
+        out = tmp_path / "hec.csv"
+        assert main(["centrality", "--method", "hec", "--order", "2", "--input", prefix,
+                     "--out", str(out)]) == 0, capsys.readouterr().err
+        assert sorted(read_scores(out)) == ["5", "5 (7)", "9"]
+
+    def test_label_file_skips_blank_and_unnamed_lines(self, tmp_path):
+        prefix = write_dataset(tmp_path, [2, 2], [1, 2, 2, 3])
+        Path(f"{prefix}-node-labels.txt").write_text("1\tubuntu\n\n  \n2\n3 grub loader\n")
+        h, _ = ingest_simplicial(f"{prefix}-nverts.txt", f"{prefix}-simplices.txt",
+                                 f"{prefix}-node-labels.txt")
+        assert h.labels == ("ubuntu", 2, "grub loader")
+
+    def test_label_line_without_an_integer_id_is_refused(self, tmp_path, capsys):
+        prefix = write_dataset(tmp_path, [2], [1, 2])
+        Path(f"{prefix}-node-labels.txt").write_text("1\tubuntu\nx\tgrub\n")
+        assert main(["stats", "--input", prefix, "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == (f"data error: bad node-label line in "
+                                           f"{prefix}-node-labels.txt: 'x\\tgrub'\n")
 
 
 INT64 = np.iinfo(np.int64)
@@ -377,7 +402,8 @@ class TestExitCodes:
                             ({"method": "ec", "input": 5}, "'input' must be str"),
                             ({"method": "ec", "max_iter": True}, "'max_iter' must be int"),
                             ({"method": "ec", "tol": None}, "'tol' must be int or float"),
-                            ({"method": "ec", "lcc": 1}, "'lcc' must be bool")]:
+                            ({"method": "ec", "lcc": 1}, "'lcc' must be bool"),
+                            ({"method": "pagerank"}, "unknown method 'pagerank'")]:
             manifest = tmp_path / "m.json"
             manifest.write_text(json.dumps(stored))
             code = main(["centrality", "--method", "ec", "--from-manifest", str(manifest),
@@ -453,6 +479,15 @@ class TestExitCodes:
                      "--max-iter", "2", "--input", prefix,
                      "--out", str(tmp_path / "o.csv")])
         assert code == 3
+
+    def test_compare_convergence_failure(self, tmp_path, capsys):
+        prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
+        code = main(["compare", "--methods", "u2,u3", "--max-iter", "1", "--input", prefix,
+                     "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "convergence failure: method U2 did not converge\n"
+        assert "running U3" not in captured.out
 
 
 class TestCentrality:
@@ -593,6 +628,13 @@ class TestCentrality:
         code = main(["centrality", "--method", "uhec", "--order", "3",
                      "--input", prefix, "--out", str(tmp_path / "x.csv")])
         assert code == 2  # below the max edge size
+
+    def test_hec_order_without_edges_of_that_size(self, tmp_path, capsys):
+        prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
+        code = main(["centrality", "--method", "hec", "--order", "7",
+                     "--input", prefix, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "data error: no hyperedges of size 7 in the input\n"
 
     def test_custom_manifest_path(self, tmp_path):
         prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
@@ -738,6 +780,16 @@ class TestStats:
         write_dataset(tmp_path, FIG1_NVERTS, FIG1_SIMPLICES)
         out = tmp_path / "stats.csv"
         assert main(["stats", "--input", str(tmp_path), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("prefixes", [[], ["one", "two"]])
+    def test_directory_without_exactly_one_dataset(self, tmp_path, capsys, prefixes):
+        data = tmp_path / "data"
+        data.mkdir()
+        for prefix in prefixes:
+            write_dataset(data, FIG1_NVERTS, FIG1_SIMPLICES, prefix=prefix)
+        assert main(["stats", "--input", str(data), "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == (f"data error: {data}: expected exactly one "
+                                           f"*-nverts.txt in directory, found {len(prefixes)}\n")
 
 
 # Runs every subcommand in one fresh interpreter and prints, as its last line,

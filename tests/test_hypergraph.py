@@ -39,6 +39,9 @@ class TestConnectedComponents:
         comps = hr.connected_components(h)
         assert comp_labels(h, comps) == [[1], [2], [3]]
 
+    def test_no_nodes_no_components(self):
+        assert hr.connected_components(hr.Hypergraph(0)) == []
+
 
 class TestLargestConnectedComponent:
     def test_picks_larger_component(self):
@@ -221,6 +224,29 @@ class TestConstruction:
             hr.Hypergraph(2, blocks={3: ([[0, 1, 0]], [1.0])})
         assert hr.Hypergraph(2, blocks={3: ([[0, 0, 1]], [1.0])}).num_edges == 1
 
+    @pytest.mark.parametrize("n, labels, blocks, message", [
+        (-1, (), {}, "node count must be nonnegative"),
+        (3, ("a", "b"), {}, "labels must have length n"),
+        (3, ("a", "b", "a"), {}, "labels must be distinct"),
+        (3, (), {2: ([[0, 1], [1, 2]], [1.0])}, r"size-2 block has shape \(2, 2\)"),
+        (3, (), {2: ([[0, 1, 2]], [1.0])}, r"size-2 block has shape \(1, 3\)"),
+        (3, (), {2: ([[1, 3]], [1.0])}, r"size-2 block references a node outside 0\.\.2"),
+        (3, (), {3: ([[-1, 0, 1]], [1.0])}, r"size-3 block references a node outside 0\.\.2"),
+    ])
+    def test_rejects_malformed_arguments(self, n, labels, blocks, message):
+        with pytest.raises(hr.DataError, match=message):
+            hr.Hypergraph(n, labels, blocks=blocks)
+
+    def test_empty_block_is_dropped(self):
+        h = hr.Hypergraph(3, blocks={2: ([[0, 1]], [1.0]), 3: (np.zeros((0, 3)), [])})
+        assert list(h.blocks) == [2] and h.max_size == 2
+
+    def test_aux_spec_aligns_nodes_and_multiplicities(self):
+        with pytest.raises(hr.DataError, match="must align"):
+            hr.AuxSpec((0, 1), (None,))
+        assert not hr.AuxSpec()
+        assert hr.AuxSpec((0,), (None,))
+
     def test_rejects_aux_node_that_is_not_an_index(self):
         # a -1 would index from the end: `largest_connected_component` would
         # make real node e the aux node, and `hec` would leave e unranked
@@ -325,6 +351,10 @@ class TestPreprocess:
         assert g.labels == tuple(step * v + shift for v in h.labels)
         assert [(s, r.tobytes(), w.tobytes()) for s, (r, w) in g.blocks.items()] == \
             [(s, r.tobytes(), w.tobytes()) for s, (r, w) in h.blocks.items()]
+
+    def test_negative_size_is_refused(self):
+        with pytest.raises(hr.DataError, match="simplex sizes must be nonnegative"):
+            hr.preprocess_stream([2, -1, 1], [1, 2])
 
     def test_size_stream_whose_int64_sum_wraps_is_refused(self):
         # four sizes near 2**62 sum to 3 in int64; trusted, that count made

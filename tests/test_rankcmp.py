@@ -133,6 +133,12 @@ class TestZeroFill:
         with pytest.raises(hr.DataError, match="repeated: 'U2'$"):
             hr.RankingTable((1, 2), ("U2", "U3", "U2", "U4"), cols)
 
+    def test_ranking_table_refuses_mismatched_or_no_columns(self):
+        with pytest.raises(hr.DataError, match="column matrix shape mismatch"):
+            hr.RankingTable((1, 2, 3), ("U2", "U3"), np.zeros((2, 2)))
+        with pytest.raises(hr.DataError, match="no score columns given"):
+            hr.RankingTable.from_scores({})
+
 
 class TestHeatmap:
     def test_identical_columns_give_ones(self):
@@ -146,6 +152,11 @@ class TestHeatmap:
         table = hr.RankingTable.from_scores({"A": {1: 0.3, 2: 0.7}})
         with pytest.raises(hr.DataError):
             hr.pairwise_heatmap(table)
+
+    def test_needs_two_labels(self):
+        table = hr.RankingTable.from_scores({"A": {1: 0.3}, "B": {1: 0.7}})
+        with pytest.raises(hr.DataError, match="at least 2 entries"):
+            hr.heatmap_and_curves(table, [])
 
 
 class TestTopKCurve:
@@ -166,6 +177,7 @@ class TestTopKCurve:
         a = np.linspace(1, 0, 8)
         curve = hr.topk_curve(a, a, [1, 2, 3])
         assert [k for k, _ in curve] == [2, 3]
+        assert hr.topk_curve(a, a, [0, 1]) == []
 
     def test_boundary_ties_expand_selection(self):
         a = np.array([5.0, 4.0, 4.0, 4.0, 1.0])
@@ -415,6 +427,13 @@ class TestCurveFilter:
         # U->H family keeps both extremes; A->H keeps its only curve
         assert ("A3", "H4") in kept
         assert ("U2", "H3") in kept and ("U3", "H4") in kept
+
+    def test_family_without_a_tau_keeps_its_first_curve(self):
+        nan = math.nan
+        curves = {("U2", "H3"): [(5, nan)], ("U3", "H3"): [(5, nan), (8, nan)],
+                  ("U2", "A3"): [(5, 0.4)]}
+        assert hr.curve_filter(curves) == {("U2", "H3"): [(5, nan)],
+                                           ("U2", "A3"): [(5, 0.4)]}
 
 
 class TestCsv:

@@ -212,6 +212,14 @@ class TestShift:
         path = hr.Hypergraph.from_edge_list([[1, 2], [2, 3]], [5e-324] * 2)
         with pytest.raises(hr.ConvergenceError, match="underflow"):
             hr.uphec(path, 2)
+        # a path weighted 1, 1e-310, 1e-310: node 4's contraction 1e-310 *
+        # x_3 underflows to 0, so the bracket's lower end is 0, the shift
+        # starts and x_4 shrinks by about 3 a step until the shifted term
+        # rounds to 0 too
+        path = hr.Hypergraph.from_edge_list([[1, 2], [2, 3], [3, 4]], [1.0, 1e-310, 1e-310])
+        with pytest.raises(hr.ConvergenceError, match="produced a zero component: the "
+                                                      "iterate underflowed"):
+            hr.hec(path)
 
 
 @st.composite
@@ -490,6 +498,14 @@ class TestZViaUplift:
         with pytest.raises(hr.DataError):
             hr.z_via_uplift(two_aux_uplift, "l2")
 
+    def test_refuses_a_perron_vector_with_a_zero_component(self):
+        # the star-padded path 1 - 2 - 3 weighted 1 and the smallest
+        # subnormal: the dense eigensolver splits the matrix at that
+        # negligible coupling and returns 0 as node 3's component
+        path = hr.Hypergraph.from_edge_list([[1, 2], [2, 3]], [1.0, 5e-324])
+        with pytest.raises(hr.ConvergenceError, match="non-positive Perron vector"):
+            hr.z_via_uplift(hr.multi_uplift(path, 3, (1,)), "z1")
+
     def test_roundtrip_parallel_to_graph_eigenvector(self):
         rng = random.Random(2024)
         for comp in ((1,), (2,), (1, 1), (1, 2)):
@@ -547,6 +563,12 @@ class TestVerify:
         assert check.residual <= 1e-9  # still an eigenpair
         assert check.norm_violation == pytest.approx(0.5)
         assert not check.passed
+
+    def test_bad_norm_name(self, two_aux_uplift):
+        t = hr.from_hypergraph(two_aux_uplift)
+        pair = hr.z_via_uplift(two_aux_uplift, "z2")
+        with pytest.raises(hr.DataError, match="norm must be 'z1' or 'z2', got 'z3'"):
+            hr.verify_z_eigenpair(t, pair.eigenvalue, pair.eigenvector, "z3")
 
 
 class TestCompositionsOracle:

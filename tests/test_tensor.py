@@ -170,12 +170,17 @@ class TestScoreVector:
             hr.ScoreVector.normalized([math.nan, 1.0], "l1")
         with pytest.raises(hr.DataError):
             hr.ScoreVector([math.nan], "l2")
+        with pytest.raises(hr.DataError, match="unknown normalization 'l3'"):
+            hr.ScoreVector([1.0], "l3")
 
     def test_normalized_factory(self):
         sv = hr.ScoreVector.normalized([3.0, 4.0], "l2")
         assert math.isclose(float(np.sqrt((sv.values**2).sum())), 1.0)
         sv1 = hr.ScoreVector.normalized([3.0, 1.0], "l1")
         assert math.isclose(float(sv1.values.sum()), 1.0)
+        for norm in ("l1", "l2"):
+            with pytest.raises(hr.DataError, match="cannot normalize the zero vector"):
+                hr.ScoreVector.normalized(np.zeros(3), norm)
 
     def test_none_tag_unchecked(self):
         sv = hr.ScoreVector(np.array([5.0, -2.0]), "none")

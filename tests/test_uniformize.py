@@ -83,6 +83,11 @@ class TestMultiUplift:
         with pytest.raises(hr.DataError):
             hr.multi_uplift(path3, 5, (1, 1))
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rejects_order_not_above_edge_size(self, path3, m):
+        with pytest.raises(hr.DataError, match=f"target order must exceed edge size: m={m}, M=2"):
+            hr.multi_uplift(path3, m, ())
+
 
 class TestProject:
     def test_worked_example_pairs(self, example6):
@@ -99,6 +104,10 @@ class TestProject:
     def test_identity_on_two_uniform(self, path3):
         g = hr.project(path3, 2)
         assert edge_map(g) == edge_map(path3)
+
+    def test_rejects_order_below_two(self, path3):
+        with pytest.raises(hr.DataError, match="projection order must be >= 2, got 1"):
+            hr.project(path3, 1)
 
     def test_identity_when_no_edge_lies_above_p(self):
         rng = random.Random(7)
@@ -297,6 +306,11 @@ class TestOperationCounters:
         counter = hr.BuildCounter()
         hr.uplift(fig1, 4, counter)
         assert counter.uplift_ops == (4 - 2) + (4 - 2) + (4 - 3)
+
+    def test_multi_uplift_counter(self, path3):
+        counter = hr.BuildCounter()
+        hr.multi_uplift(path3, 5, (1, 2), counter)
+        assert (counter.uplift_ops, counter.project_ops) == ((5 - 2) * 2, 0)
 
     def test_project_counter(self, example6):
         counter = hr.BuildCounter()

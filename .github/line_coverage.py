@@ -5,21 +5,16 @@ executable line of src/hyperrank ran.
 
 The arguments go to `pytest.main`, from the current directory. A module's
 executable lines are those its code objects map instructions to
-(`co_lines`). A statement whose first line carries
-`# pragma: no cover - <reason>` is exempt with all of its lines; a pragma
-without a reason exempts nothing. The script lists every other line that did
-not run and exits non-zero when there is one, or when pytest fails.
+(`co_lines`); none is exempt. The script lists every one that did not run
+and exits non-zero when there is one, or when pytest fails.
 """
 
-import ast
-import re
 import sys
 import threading
 import types
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hyperrank"
-PRAGMA = re.compile(r"#\s*pragma: no cover - \S")
 
 
 def executable_lines(source: str, path: Path) -> set[int]:
@@ -30,17 +25,6 @@ def executable_lines(source: str, path: Path) -> set[int]:
         lines.update(line for _, _, line in code.co_lines() if line is not None)
         stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     return lines
-
-
-def exempt_lines(source: str) -> set[int]:
-    """Every line of each statement or except clause whose first line holds
-    the pragma with a reason."""
-    text = source.splitlines()
-    return {line
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.stmt, ast.excepthandler))
-            and PRAGMA.search(text[node.lineno - 1])
-            for line in range(node.lineno, node.end_lineno + 1)}
 
 
 def main(argv: list[str]) -> int:
@@ -76,14 +60,13 @@ def main(argv: list[str]) -> int:
     total = missed = 0
     for path, hits in ran.items():
         source = Path(path).read_text(encoding="utf-8")
-        lines = executable_lines(source, Path(path)) - exempt_lines(source)
+        lines = executable_lines(source, Path(path))
         total += len(lines)
         for line in sorted(lines - hits):
             missed += 1
             print(f"not run: {Path(path).relative_to(SRC.parents[1])}:{line}: "
                   f"{source.splitlines()[line - 1].strip()}")
-    print(f"{total - missed} of {total} executable lines of {SRC.relative_to(SRC.parents[1])} "
-          f"ran (statements marked `# pragma: no cover - <reason>` excluded)")
+    print(f"{total - missed} of {total} executable lines of {SRC.relative_to(SRC.parents[1])} ran")
     return int(code) or int(missed > 0)
 
 

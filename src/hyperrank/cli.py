@@ -49,6 +49,7 @@ from .spectral import (
     uphec,
     z_via_uplift,
 )
+from .uniformize import _check_max_order
 
 # method -> (pipeline, order, `compare` tag, solves on the size-`order` slice).
 # The order is the option that sets it, a fixed order, or None. Pipelines are
@@ -111,22 +112,19 @@ def _read_int_stream(path: Path) -> np.ndarray:
 
 def _scan_int_stream(path: Path) -> np.ndarray:
     """`_read_int_stream` one Python token at a time: it takes what `int`
-    takes and names the first token it refuses."""
+    takes within the int64 range and names the first token it refuses."""
     tokens = _read_text(path).split()
     if not tokens:
         raise DataError(f"empty file: {path}")
-    try:
-        return np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError):
-        pass
-    for tok in tokens:  # locate the token numpy rejected
+    ids = np.empty(len(tokens), dtype=np.int64)
+    for k, tok in enumerate(tokens):
         try:
-            value = int(tok)
+            ids[k] = int(tok)
         except ValueError:
             raise DataError(f"non-integer token {tok!r} in {path}")
-        if not np.iinfo(np.int64).min <= value <= np.iinfo(np.int64).max:
+        except OverflowError:  # raised by the int64 store
             raise DataError(f"integer token {tok!r} in {path} is outside the int64 range")
-    raise DataError(f"cannot parse integers from {path}")  # pragma: no cover - loop raises first
+    return ids
 
 
 def _read_label_map(path: Path) -> dict[int, str]:
@@ -308,6 +306,15 @@ def _solve(h: Hypergraph, method: str, order: Optional[int], args,
 #  centrality
 # ──────────────────────────────────────────────────────────────────────
 
+def _check_order(order: int, aux_gauge: bool) -> None:
+    """Refuse, before ingest, an order that no input can run at: below 2, or
+    above the tensor cap (one less under the aux gauge, which solves one
+    order up). The pipelines refuse the same orders after ingest."""
+    if order < 2:
+        raise DataError(f"order must be >= 2, got {order}")
+    _check_max_order(order + 1 if aux_gauge else order)
+
+
 def _method_order(args) -> Optional[int]:
     """The order `--method` runs at: fixed, none, or given by its option."""
     if args.method not in _METHODS:  # only a stored manifest can get here
@@ -316,7 +323,8 @@ def _method_order(args) -> Optional[int]:
     if isinstance(order, str):
         if getattr(args, order) is None:
             raise UsageError(f"--{order} is required for {args.method}")
-        return getattr(args, order)
+        order = getattr(args, order)
+        _check_order(order, args.aux_gauge)
     return order
 
 
@@ -374,6 +382,8 @@ def cmd_compare(args) -> int:
     for k, name in enumerate(names):
         if name in names[:k]:
             raise UsageError(f"method tag {name!r} is repeated in --methods")
+    for _, order, _ in runs:  # after every tag is read: a malformed one is a usage error
+        _check_order(order, args.aux_gauge)
     opts = _options(args)
     h, report = _ingest(args.input)
     # the table never holds more labels than the input has nodes; a K that
@@ -507,5 +517,5 @@ def main(argv=None) -> int:
         return 3
 
 
-if __name__ == "__main__":  # pragma: no cover - runs under `python -m`, in its own process
+if __name__ == "__main__":
     sys.exit(main())

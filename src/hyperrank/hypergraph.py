@@ -40,13 +40,13 @@ def _label_sort_key(label):
 
 
 def _distinct_labels(labels: Sequence) -> set:
-    """The set of `labels`; an unhashable label is a `DataError`."""
+    """The set of `labels`; a label that cannot be hashed or compared is a `DataError`."""
     try:
         return set(labels)
-    except TypeError:
+    except TypeError as exc:
         for label in labels:
             _label_sort_key(label)  # raises for the first unhashable label
-        raise  # pragma: no cover - a hashable label whose equality raises TypeError
+        raise DataError(f"node labels must compare for equality: {exc}") from None
 
 
 def _sorted_distinct(a) -> np.ndarray:
@@ -499,7 +499,7 @@ def _edge_blocks(sizes: np.ndarray, ids: np.ndarray, weight: np.ndarray,
     repeat = np.flatnonzero(key[1:] == key[:-1]) + 1  # the slots of repeated ids
     dup = key[repeat] // span  # the edge of each
     size = sizes
-    if not keep_multiplicities:
+    if len(repeat) and not keep_multiplicities:
         key = np.delete(key, repeat)
         size = sizes - np.bincount(dup, minlength=len(sizes))
     by_size = np.argsort(size)

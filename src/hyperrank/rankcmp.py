@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .hypergraph import _sorted_distinct, sort_labels
+from .hypergraph import _distinct_labels, _sorted_distinct, sort_labels
 
 Curve = list[tuple[int, float]]
 
@@ -208,7 +208,8 @@ class RankingTable:
         """Build from {method tag: {node label: score}}."""
         if not scores:
             raise DataError("no score columns given")
-        labels = tuple(sort_labels(set().union(*scores.values())))
+        labels = [lab for col in scores.values() for lab in col]
+        labels = tuple(sort_labels(_distinct_labels(labels)))
         index = {lab: i for i, lab in enumerate(labels)}
         columns = np.zeros((len(scores), len(labels)))
         for row, col in zip(columns, scores.values()):

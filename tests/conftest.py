@@ -17,6 +17,17 @@ def child_env() -> dict:
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+class Incomparable:
+    """A label that hashes like every other and whose equality raises
+    `TypeError`: a set of two cannot tell them apart."""
+
+    def __hash__(self):
+        return 0
+
+    def __eq__(self, other):
+        raise TypeError("no equality")
+
+
 # Printed reference rows for the 6-node worked example (labels 1..6), one per
 # uniformization order; generated with the gauge-fixed solver convention.
 TABLE_ROWS = {

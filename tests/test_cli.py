@@ -2,6 +2,7 @@ import csv
 import gzip
 import json
 import math
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ import hyperrank.cli as cli
 import hyperrank.hypergraph as hg
 import reference
 from hyperrank.cli import _read_int_stream, _scan_int_stream, ingest_simplicial, main
-from conftest import TABLE_ROWS, child_env
+from conftest import TABLE_ROWS, Incomparable, child_env
 
 
 def write_dataset(tmp_path, nverts, simplices, labels=None, prefix="toy"):
@@ -156,6 +157,7 @@ INT64 = np.iinfo(np.int64)
 PLAIN_TOKENS = ["0", "7", "42", "+3", "-3", "-0", "007", str(INT64.max), str(INT64.min)]
 ODD_TOKENS = ["1_000", "\u0663", "1.0", "0x10", "#5", "x", str(INT64.max + 1),
               str(INT64.min - 1)]
+OUTSIDE = " in {path} is outside the int64 range"  # the tail of a range refusal
 GAPS = [" ", "\t", "\f", "  ", " \t "]
 LINE_ENDS = ["\n", "\r\n", "\r", "\n\n", "\n \t\n"]
 
@@ -189,6 +191,17 @@ def parsed(read, path):
     return ids.dtype.str, ids.shape, ids.tolist()
 
 
+def test_label_that_cannot_be_compared_is_data_error(tmp_path, capsys, monkeypatch):
+    # no labels file names such a label; the CLI still reports it, no traceback
+    prefix = write_dataset(tmp_path, [2], [1, 2], labels=[(1, "a"), (2, "b")])
+    monkeypatch.setattr(cli, "_read_label_map",
+                        lambda path: {1: Incomparable(), 2: Incomparable()})
+    code = main(["stats", "--input", prefix, "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == ("data error: node labels must compare for "
+                                       "equality: no equality\n")
+
+
 class TestReadIntStream:
     # the examples are the parse refusals of `test_malformed_streams_report_data_error`
     @given(id_files())
@@ -205,6 +218,36 @@ class TestReadIntStream:
             path = Path(tmp) / "ids.txt"
             path.write_bytes(data)
             assert parsed(_read_int_stream, path) == parsed(_scan_int_stream, path)
+
+    # what the scan makes of each file: its ids, or the refusal's message
+    @pytest.mark.parametrize("text, want", [
+        ("1_000\n", [1000]),
+        ("\u0663\n", [3]),
+        ("1.0\n", "non-integer token '1.0' in {path}"),
+        ("0x10\n", "non-integer token '0x10' in {path}"),
+        ("#5\n", "non-integer token '#5' in {path}"),
+        ("x\n", "non-integer token 'x' in {path}"),
+        (f"{INT64.max + 1}\n", f"integer token '{INT64.max + 1}'" + OUTSIDE),
+        (f"{INT64.min - 1}\n", f"integer token '{INT64.min - 1}'" + OUTSIDE),
+        ("+5\n", [5]),
+        ("-0\n", [0]),
+        ("\uff11\uff12 \uff10\n", [12, 0]),
+        (f"{INT64.max} {INT64.min}\n", [INT64.max, INT64.min]),
+        ("1 2\n3\n\n4 5 6\n", [1, 2, 3, 4, 5, 6]),
+        # the first token refused is named, whichever refusal it meets
+        (f"1 {INT64.max + 1} x\n", f"integer token '{INT64.max + 1}'" + OUTSIDE),
+        (f"1 x {INT64.min - 1}\n", "non-integer token 'x' in {path}"),
+        ("1 2\n3 1.5\n", "non-integer token '1.5' in {path}"),
+    ])
+    def test_token_scan_table(self, tmp_path, text, want):
+        path = tmp_path / "ids.txt"
+        path.write_text(text, encoding="utf-8")
+        for read in (_scan_int_stream, _read_int_stream):
+            got = parsed(read, path)
+            if isinstance(want, list):
+                assert got == ("<i8", (len(want),), want)
+            else:
+                assert got == want.format(path=path)
 
     def test_parser_warning_sends_file_to_scan(self, tmp_path, monkeypatch):
         # numpy 1.x parses "1.0" as an integer with a DeprecationWarning; a
@@ -293,6 +336,7 @@ class TestExitCodes:
         (["compare", "--methods", "u2,U2"], "method tag 'U2' is repeated"),
         (["compare", "--methods", "u2,u3,u2"], "method tag 'U2' is repeated"),
         (["compare", "--methods", "u2,u\u00b2"], "unknown method tag 'u\u00b2'"),
+        (["compare", "--methods", "u2,h1,x3"], "unknown method tag 'x3'"),  # not the order
     ])
     def test_argument_errors_before_ingest(self, tmp_path, capsys, argv, message):
         prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
@@ -392,6 +436,33 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 2
         assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["centrality", "--method", "hec", "--order", "1"], "order must be >= 2, got 1"),
+        (["centrality", "--method", "alt", "--order", "0"], "order must be >= 2, got 0"),
+        (["centrality", "--method", "uphec", "--p", "1"], "order must be >= 2, got 1"),
+        (["centrality", "--method", "uhec", "--order", "-3"], "order must be >= 2, got -3"),
+        (["centrality", "--method", "alt", "--order", "25"],
+         "tensor order 25 exceeds supported 20"),
+        (["centrality", "--method", "hec", "--order", "21"],
+         "tensor order 21 exceeds supported 20"),
+        (["centrality", "--method", "uhec", "--order", "20", "--aux-gauge"],
+         "tensor order 21 exceeds supported 20"),
+        (["compare", "--methods", "u2,h1"], "order must be >= 2, got 1"),
+        (["compare", "--methods", "u2,u1"], "order must be >= 2, got 1"),
+        (["compare", "--methods", "u2,a21"], "tensor order 21 exceeds supported 20"),
+        (["compare", "--methods", "u2,a20", "--aux-gauge"],
+         "tensor order 21 exceeds supported 20"),
+    ])
+    def test_orders_no_input_can_run_before_ingest(self, tmp_path, capsys, argv, message):
+        prefix = write_dataset(tmp_path, EXAMPLE6_NVERTS, EXAMPLE6_SIMPLICES)
+        out = (["--out-dir", str(tmp_path / "out")] if argv[0] == "compare"
+               else ["--out", str(tmp_path / "o.csv")])
+        code = main(argv + ["--lcc", "--input", prefix] + out)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"data error: {message}\n"
+        assert captured.out == ""  # nothing ingested, no "running" line
 
     def test_bad_setting_in_stored_manifest(self, tmp_path, capsys):
         # a bad value, then values of the wrong JSON type
@@ -825,3 +896,19 @@ def test_cli_runs_load_no_numpy_ma(tmp_path):
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["codes"] == [0] * len(runs), proc.stderr
     assert not [m for m in probe["loaded"] if m == "numpy.ma" or m.startswith("numpy.ma.")]
+
+
+def test_module_entry_point(tmp_path, monkeypatch, capsys):
+    # `python -m hyperrank.cli` runs this body; run in this process, under
+    # the test's tracing, it re-executes the already imported module
+    prefix = write_dataset(tmp_path, FIG1_NVERTS, FIG1_SIMPLICES)
+    out = tmp_path / "stats.csv"
+    monkeypatch.setattr(sys, "argv", ["hyperrank", "stats", "--input", prefix,
+                                      "--out", str(out)])
+    with pytest.warns(RuntimeWarning, match="'hyperrank.cli' found in sys.modules"):
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("hyperrank.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.endswith(f"wrote {out}\n")
+    assert out.read_text().splitlines() == ["order,nodes,hyperedges,lcc_pct", "2,4,2,50",
+                                            "3,3,1,100", "complete,5,3,100"]

@@ -14,7 +14,7 @@ import hyperrank as hr
 import hyperrank.hypergraph as hg
 import reference
 from hyperrank.hypergraph import _sorted_distinct, component_roots
-from conftest import child_env
+from conftest import Incomparable, child_env
 from oracles import random_hypergraph
 
 
@@ -269,6 +269,24 @@ class TestConstruction:
                 build([[1, [2]], [2, 3]])
         with pytest.raises(hr.DataError, match="hashable"):
             hr.Hypergraph(2, labels=("a", {"b": 1}))
+
+    def test_labels_that_cannot_be_compared_are_refused(self):
+        # every entry point that takes labels refuses two it cannot compare
+        L = Incomparable
+        path = hr.Hypergraph.from_edge_list([[0, 1]])
+        builds = [
+            lambda: hr.Hypergraph(2, labels=(L(), L())),
+            lambda: hr.Hypergraph.from_edge_list([[L(), L()]]),
+            lambda: hr.Hypergraph.from_edge_list([[1, 2]], nodes=[L(), L()]),
+            lambda: hr.build_preprocessed([[L(), L()]]),
+            lambda: path.with_labels((L(), L())),
+            lambda: hr.h_eigen_power(hr.from_hypergraph(path), labels=(L(), L())),
+            lambda: hr.RankingTable.from_scores({"a": {L(): 1.0}, "b": {L(): 1.0}}),
+        ]
+        for build in builds:
+            with pytest.raises(hr.DataError,
+                               match="node labels must compare for equality: no equality"):
+                build()
 
     def test_blocks_are_read_only_copies(self):
         rows = np.array([[0, 1], [1, 2]])

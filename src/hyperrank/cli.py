@@ -110,20 +110,41 @@ def _read_int_stream(path: Path) -> np.ndarray:
     return _scan_int_stream(path)
 
 
+_SCAN_CHUNK = 1 << 20  # characters `_scan_int_stream` reads at a time
+
+
 def _scan_int_stream(path: Path) -> np.ndarray:
     """`_read_int_stream` one Python token at a time: it takes what `int`
-    takes within the int64 range and names the first token it refuses."""
-    tokens = _read_text(path).split()
-    if not tokens:
+    takes within the int64 range and names the first token it refuses.
+
+    The text is read in chunks of `_SCAN_CHUNK` characters; a token cut at a
+    chunk's end is carried into the next. The ids grow in one int64 array,
+    by half again whenever a chunk would overfill it, trimmed at the end."""
+    ids, count, carry = np.empty(0, dtype=np.int64), 0, ""
+    try:
+        with path.open(encoding="utf-8") as f:
+            while True:
+                chunk = f.read(_SCAN_CHUNK)
+                tokens = (carry + chunk).split()
+                carry = tokens.pop() if chunk and tokens and not chunk[-1].isspace() else ""
+                if count + len(tokens) > len(ids):
+                    ids.resize(max(count + len(tokens), len(ids) * 3 // 2), refcheck=False)
+                for k, tok in enumerate(tokens, count):
+                    try:
+                        ids[k] = int(tok)
+                    except ValueError:
+                        raise DataError(f"non-integer token {tok!r} in {path}")
+                    except OverflowError:  # raised by the int64 store
+                        raise DataError(
+                            f"integer token {tok!r} in {path} is outside the int64 range")
+                count += len(tokens)
+                if not chunk:
+                    break
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if not count:
         raise DataError(f"empty file: {path}")
-    ids = np.empty(len(tokens), dtype=np.int64)
-    for k, tok in enumerate(tokens):
-        try:
-            ids[k] = int(tok)
-        except ValueError:
-            raise DataError(f"non-integer token {tok!r} in {path}")
-        except OverflowError:  # raised by the int64 store
-            raise DataError(f"integer token {tok!r} in {path} is outside the int64 range")
+    ids.resize(count, refcheck=False)
     return ids
 
 

@@ -49,6 +49,39 @@ def _distinct_labels(labels: Sequence) -> set:
         raise DataError(f"node labels must compare for equality: {exc}") from None
 
 
+def _node_labels(labels, n: int, mismatch: str = "labels must have length n") -> tuple:
+    """`labels` as the tuple of n distinct node labels, each hashable and
+    comparable for equality; None or no labels stand for 0..n-1. Any other
+    count is a `DataError` that opens with `mismatch`."""
+    labels = () if labels is None else tuple(labels)
+    labels = labels or tuple(range(n))
+    if len(labels) != n:
+        raise DataError(f"{mismatch}: {len(labels)} labels for {n} nodes")
+    if len(_distinct_labels(labels)) != n:
+        raise DataError("labels must be distinct")
+    return labels
+
+
+def _check_indices(indices, n: int, what: str) -> None:
+    """Refuse an entry of `indices` that is not an integer (a bool is none)
+    in 0..n-1, naming it as a `what`."""
+    for i in indices:
+        if isinstance(i, bool) or not isinstance(i, Integral) or not 0 <= i < n:
+            raise DataError(f"{what} {i!r} is not an index in 0..{n - 1}")
+
+
+def _label_stream(groups: Sequence[Sequence[Hashable]], extra: Iterable[Hashable] = ()
+                  ) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The `sort_labels` universe of the labels in `groups` and `extra`, the
+    size of each group, and every group's labels in turn as indices into
+    that universe."""
+    tokens = [v for g in groups for v in g]
+    labels = tuple(sort_labels(_distinct_labels([*extra, *tokens])))
+    index = {lab: i for i, lab in enumerate(labels)}
+    return (labels, np.array([len(g) for g in groups], dtype=np.int64),
+            np.array([index[v] for v in tokens], dtype=np.int64))
+
+
 def _sorted_distinct(a) -> np.ndarray:
     """The distinct values of the integer array `a`, flattened and ascending,
     as `np.unique(a)` gives them, from one sort. In numpy 2.x a plain
@@ -57,14 +90,6 @@ def _sorted_distinct(a) -> np.ndarray:
     keep = np.ones(len(a), dtype=bool)
     keep[1:] = a[1:] != a[:-1]
     return a[keep]
-
-
-def _fresh_label(existing, base: str):
-    """`base`, primed until it is not one of the `existing` labels."""
-    label = base
-    while label in existing:
-        label += "'"
-    return label
 
 
 def _check_weights(weight: np.ndarray) -> None:
@@ -180,15 +205,9 @@ class Hypergraph:
     ):
         if n < 0:
             raise DataError("node count must be nonnegative")
-        labels = tuple(labels) if labels else tuple(range(n))
-        if len(labels) != n:
-            raise DataError("labels must have length n")
-        if len(_distinct_labels(labels)) != n:
-            raise DataError("labels must be distinct")
+        labels = _node_labels(labels, n)
         aux = aux if aux is not None else AuxSpec()
-        for a in aux.nodes:
-            if isinstance(a, bool) or not isinstance(a, Integral) or not 0 <= a < n:
-                raise DataError(f"aux node {a!r} is not an index in 0..{n - 1}")
+        _check_indices(aux.nodes, n, "aux node")
         clean: Blocks = {}
         for s in sorted(blocks or {}):
             rows, weight = blocks[s]
@@ -261,11 +280,9 @@ class Hypergraph:
 
     @cached_property
     def _label_rank(self) -> np.ndarray:
-        """Rank of each node's label under `_label_sort_key`."""
-        order = sorted(range(self.n), key=lambda i: _label_sort_key(self.labels[i]))
-        rank = np.empty(self.n, dtype=np.int64)
-        rank[order] = np.arange(self.n)
-        return rank
+        """Rank of each node's label in `sort_labels` order."""
+        rank = {lab: i for i, lab in enumerate(sort_labels(self.labels))}
+        return np.array([rank[lab] for lab in self.labels], dtype=np.int64)
 
     @staticmethod
     def from_edge_list(
@@ -287,13 +304,8 @@ class Hypergraph:
             raise DataError(f"weights have shape {weights.shape}, expected "
                             f"({len(edge_lists)},), one per edge")
         _check_weights(weights)  # before duplicate edges merge
-        universe = _distinct_labels([*nodes, *(v for e in edge_lists for v in e)])
-        labels = tuple(sort_labels(universe))
-        index = {lab: i for i, lab in enumerate(labels)}
-        blocks, size, repeated = _edge_blocks(
-            np.array([len(e) for e in edge_lists], dtype=np.int64),
-            np.array([index[v] for e in edge_lists for v in e], dtype=np.int64),
-            weights, keep_multiplicities)
+        labels, sizes, ids = _label_stream(edge_lists, nodes)
+        blocks, size, repeated = _edge_blocks(sizes, ids, weights, keep_multiplicities)
         if not keep_multiplicities:
             for k in repeated.tolist():
                 warnings.warn(f"collapsing repeated nodes within edge "
@@ -596,13 +608,6 @@ def build_preprocessed(
 
     Labels are ordered by `sort_labels` over every id in the input.
     """
-    raw = [list(s) for s in simplices]
-    tokens = [v for s in raw for v in s]
-    universe = sort_labels(_distinct_labels(tokens))
-    rank = {lab: i for i, lab in enumerate(universe)}
-    h, report = preprocess_stream(
-        np.array([len(s) for s in raw], dtype=np.int64),
-        np.array([rank[v] for v in tokens], dtype=np.int64),
-        keep_multiplicities,
-    )
+    universe, sizes, ids = _label_stream([list(s) for s in simplices])
+    h, report = preprocess_stream(sizes, ids, keep_multiplicities)
     return h.with_labels(tuple(universe[i] for i in h.labels)), report

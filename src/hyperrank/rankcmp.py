@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .hypergraph import _distinct_labels, _sorted_distinct, sort_labels
+from .hypergraph import _label_stream, _node_labels, _sorted_distinct
 
 Curve = list[tuple[int, float]]
 
@@ -190,15 +190,19 @@ def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
 @dataclass(frozen=True, eq=False)
 class RankingTable:
     """Score columns of distinct method tags, aligned on the union of node
-    labels; a node a method does not score is zero-filled."""
+    labels; a node a method does not score is zero-filled. The labels are
+    those `Hypergraph` takes, one per column entry; None or no labels stand
+    for 0..n-1."""
 
     labels: tuple
     tags: tuple[str, ...]
     columns: np.ndarray
 
     def __post_init__(self):
-        if self.columns.shape != (len(self.tags), len(self.labels)):
+        if self.columns.ndim != 2 or len(self.columns) != len(self.tags):
             raise DataError("column matrix shape mismatch")
+        object.__setattr__(self, "labels", _node_labels(
+            self.labels, self.columns.shape[1], "column matrix shape mismatch"))
         repeated = [tag for tag in dict.fromkeys(self.tags) if self.tags.count(tag) > 1]
         if repeated:
             raise DataError(f"method tags are repeated: {', '.join(map(repr, repeated))}")
@@ -208,12 +212,10 @@ class RankingTable:
         """Build from {method tag: {node label: score}}."""
         if not scores:
             raise DataError("no score columns given")
-        labels = [lab for col in scores.values() for lab in col]
-        labels = tuple(sort_labels(_distinct_labels(labels)))
-        index = {lab: i for i, lab in enumerate(labels)}
+        labels, sizes, index = _label_stream(scores.values())
         columns = np.zeros((len(scores), len(labels)))
-        for row, col in zip(columns, scores.values()):
-            row[[index[lab] for lab in col]] = list(col.values())
+        columns[np.repeat(np.arange(len(scores)), sizes), index] = \
+            [v for col in scores.values() for v in col.values()]
         return RankingTable(labels, tuple(scores), columns)
 
     def column(self, tag: str) -> np.ndarray:

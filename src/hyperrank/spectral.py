@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .hypergraph import (AuxSpec, Hypergraph, _distinct_labels, component_roots,
+from .hypergraph import (AuxSpec, Hypergraph, _check_indices, _node_labels, component_roots,
                          is_strongly_connected)
 from .tensor import (ScoreVector, UniformTensor, _as_array, _CompositionTensor,
                      _contraction, _norm_value, _uplifted, _UpliftTensor, apply,
@@ -132,6 +132,15 @@ def _relative_residual(tx: np.ndarray, eigenvalue: float, rhs: np.ndarray) -> fl
     return float(np.max(np.abs(tx - eigenvalue * rhs)) / max(scale, 1e-300))
 
 
+def _z_norm(norm) -> tuple[str, str]:
+    """The Z-norm name `norm`, "z1" or "z2" in any case, lowercased, and the
+    vector norm it fixes to 1, l1 or l2; any other `norm` is a `DataError`."""
+    name = norm.lower() if isinstance(norm, str) else None
+    if name not in ("z1", "z2"):
+        raise DataError(f"norm must be 'z1' or 'z2', got {norm!r}")
+    return name, "l" + name[1]
+
+
 def _require_connected(h: Hypergraph):
     if not h.blocks:
         raise DataError("hypergraph has no edges")
@@ -181,25 +190,18 @@ def h_eigen_power(
     and positive, or a zero component of the next iterate, means the
     iterate underflowed and raises `ConvergenceError`.
 
-    `labels` names the tensor's indices (default 0..dim-1) and `aux_indices`
-    the auxiliary ones, reported in `aux_scores`. A disconnected hypergraph
-    (the tensor is then not weakly irreducible), labels that are not `dim`
-    distinct hashables or an auxiliary index that is not an integer in
-    0..dim-1 (a bool is none) is refused with a `DataError` before the
-    iteration starts.
+    `labels` names the tensor's indices (None or empty: 0..dim-1) and
+    `aux_indices` the auxiliary ones, reported in `aux_scores`. A
+    disconnected hypergraph (the tensor is then not weakly irreducible),
+    labels that are not `dim` distinct hashables or an auxiliary index that
+    is not an integer in 0..dim-1 (a bool is none) is refused with a
+    `DataError` before the iteration starts.
     """
     opts = options or SolverOptions()
     _require_connected(t.hypergraph)  # weak irreducibility; cached per hypergraph
     m, n = t.order, t.dim
-    if labels is None:
-        labels = tuple(range(n))
-    if len(labels) != n:
-        raise DataError(f"{len(labels)} labels for a tensor on {n} indices")
-    if len(_distinct_labels(labels)) != n:
-        raise DataError("labels must be distinct")
-    if any(isinstance(i, bool) or not isinstance(i, Integral) or not 0 <= i < n
-           for i in aux_indices):
-        raise DataError(f"auxiliary indices {tuple(aux_indices)} are not all in 0..{n - 1}")
+    labels = _node_labels(labels, n)
+    _check_indices(aux_indices, n, "auxiliary node")
     if opts.seed is not None:
         x = np.random.default_rng(opts.seed).uniform(0.5, 1.5, size=n)
         x /= x.sum()
@@ -390,9 +392,7 @@ def z_via_uplift(h: Hypergraph, norm: str) -> ZEigenpair:
     omega = (order-1)! / prod(multiplicity_k!) times the product of scaled
     auxiliary components raised to their multiplicities.
     """
-    norm = norm.lower()
-    if norm not in ("z1", "z2"):
-        raise DataError(f"norm must be 'z1' or 'z2', got {norm!r}")
+    norm, vector_norm = _z_norm(norm)
     _require_connected(h)
     _check_max_order(h.max_size)
     aux = detect_uplift_structure(h)
@@ -430,7 +430,7 @@ def z_via_uplift(h: Hypergraph, norm: str) -> ZEigenpair:
     for a, p_a in zip(aux.nodes, aux.multiplicities):
         full[a] = math.sqrt(p_a * q / lam)
 
-    vector = ScoreVector.normalized(full, "l1" if norm == "z1" else "l2")
+    vector = ScoreVector.normalized(full, vector_norm)
     omega = _multinomial((1,) + aux.multiplicities)
     lam_tensor = lam * omega
     for a, p_a in zip(aux.nodes, aux.multiplicities):
@@ -464,10 +464,8 @@ def verify_z_eigenpair(
     tol: float = 1e-9,
 ) -> EigenpairCheck:
     """Residual of T c^(m-1) = lambda c plus the unit-norm violation."""
+    _, vector_norm = _z_norm(norm)
     c = _as_array(vector, t.dim)
     resid = _relative_residual(apply(t, c), eigenvalue, c)
-    norm = norm.lower()
-    if norm not in ("z1", "z2"):
-        raise DataError(f"norm must be 'z1' or 'z2', got {norm!r}")
-    nv = abs(_norm_value(c, "l1" if norm == "z1" else "l2") - 1.0)
+    nv = abs(_norm_value(c, vector_norm) - 1.0)
     return EigenpairCheck(resid, nv, resid <= tol and nv <= tol)

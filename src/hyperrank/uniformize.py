@@ -23,12 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Integral
 from typing import Mapping
 
 import numpy as np
 
 from .errors import DataError
-from .hypergraph import AuxSpec, Hypergraph, _fresh_label, _hand_on_connected, merge_rows
+from .hypergraph import AuxSpec, Hypergraph, _hand_on_connected, merge_rows
 
 __all__ = [
     "BuildCounter",
@@ -84,11 +85,23 @@ def _require_simple(rows: np.ndarray, what: str) -> None:
         raise DataError(f"{what} requires simple (set) hyperedges")
 
 
+def _appended(labels: tuple, aux: AuxSpec, names, multiplicities) -> tuple[tuple, AuxSpec]:
+    """`labels` and `aux` with one auxiliary node per entry of `names` and
+    `multiplicities` appended from index len(labels) on. A name is primed
+    until no other label holds it."""
+    nodes, taken = tuple(range(len(labels), len(labels) + len(names))), set(labels)
+    for name in names:
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        labels += (name,)
+    return labels, AuxSpec(aux.nodes + nodes, aux.multiplicities + tuple(multiplicities))
+
+
 def _starred(labels: tuple, aux: AuxSpec) -> tuple[tuple, AuxSpec]:
     """`labels` and `aux` with one shared auxiliary node, the star, appended
     as index len(labels): those of every uplift that pads an edge."""
-    return (labels + (_fresh_label(set(labels), "*"),),
-            AuxSpec(aux.nodes + (len(labels),), aux.multiplicities + (None,)))
+    return _appended(labels, aux, ("*",), (None,))
 
 
 def _check_uplift(h: Hypergraph, m: int) -> bool:
@@ -129,27 +142,27 @@ def multi_uplift(
 ) -> Hypergraph:
     """Pad a uniform hypergraph with s distinct auxiliary nodes, the k-th one
     appearing p[k] times in every edge. Weights are left unchanged.
+    Multiplicities that are not integers (a bool is none) are refused.
     """
-    p = tuple(int(v) for v in p)
+    p = tuple(p)
     _check_max_order(m)
     if not h.is_uniform():
         raise DataError("multi_uplift requires a uniform hypergraph with edges")
     big_m = h.max_size
     if m <= big_m:
         raise DataError(f"target order must exceed edge size: m={m}, M={big_m}")
-    if any(v < 1 for v in p) or sum(p) != m - big_m:
-        raise DataError(f"multiplicities {p} must be positive and sum to {m - big_m}")
-    labels = list(h.labels)
-    for k in range(len(p)):
-        labels.append(_fresh_label(set(labels), f"*{k + 1}"))
-    aux_nodes = tuple(range(h.n, h.n + len(p)))
+    if not all(isinstance(v, Integral) and not isinstance(v, bool) and v >= 1 for v in p) \
+            or sum(p) != m - big_m:
+        raise DataError(f"multiplicities {p} must be positive integers "
+                        f"and sum to {m - big_m}")
+    p = tuple(map(int, p))
+    labels, aux = _appended(h.labels, h.aux, [f"*{k + 1}" for k in range(len(p))], p)
     rows, weight = h.blocks[big_m]
     if counter is not None:
         counter.uplift_ops += (m - big_m) * len(rows)
-    pad = np.repeat(np.array(aux_nodes, dtype=np.int64), p)
+    pad = np.repeat(np.arange(h.n, h.n + len(p)), p)
     rows = np.hstack([rows, np.broadcast_to(pad, (len(rows), len(pad)))])
-    aux = AuxSpec(h.aux.nodes + aux_nodes, h.aux.multiplicities + p)
-    return Hypergraph(h.n + len(p), labels=tuple(labels), aux=aux, blocks={m: (rows, weight)})
+    return Hypergraph(h.n + len(p), labels=labels, aux=aux, blocks={m: (rows, weight)})
 
 
 def _row_budget(total: int, claim: str, advice: str = "") -> int:

@@ -29,8 +29,7 @@ from scipy.sparse.csgraph import connected_components
 
 import hyperrank as hr
 from hyperrank.hypergraph import (HypergraphStats, OrderStats, _check_weights,
-                                  _distinct_labels, _fresh_label, _label_sort_key,
-                                  sort_labels)
+                                  _distinct_labels, _label_sort_key, sort_labels)
 from oracles import compositions
 
 
@@ -215,8 +214,10 @@ def uplift(h: hr.Hypergraph, m: int) -> hr.Hypergraph:
             new_edges.append((e.support + ((star, m - e.size),),
                               e.weight * star_factor(m, e.size)))
     aux = hr.AuxSpec(h.aux.nodes + (star,), h.aux.multiplicities + (None,))
-    return hypergraph(h.n + 1, new_edges,
-                      h.labels + (_fresh_label(set(h.labels), "*"),), aux)
+    name = "*"
+    while name in h.labels:
+        name += "'"
+    return hypergraph(h.n + 1, new_edges, h.labels + (name,), aux)
 
 
 def project(h: hr.Hypergraph, p: int) -> hr.Hypergraph:

@@ -7,7 +7,10 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -248,6 +251,28 @@ class TestReadIntStream:
                 assert got == ("<i8", (len(want),), want)
             else:
                 assert got == want.format(path=path)
+
+    @given(id_files(), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_scan_in_small_chunks_matches_one_chunk(self, data, chunk):
+        # a token cut at a chunk's end is carried whole into the next chunk,
+        # and the ids array grows across any number of chunks
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ids.txt"
+            path.write_bytes(data)
+            whole = parsed(_scan_int_stream, path)
+            with mock.patch.object(cli, "_SCAN_CHUNK", chunk):
+                assert parsed(_scan_int_stream, path) == whole
+
+    def test_scan_names_a_token_before_a_later_chunk_fails_to_decode(self, tmp_path):
+        # text is decoded as it is read (8 KiB of bytes at a time): a refused
+        # token in an earlier chunk is named first, while a chunk holding both
+        # fails to decode first
+        path = tmp_path / "ids.txt"
+        path.write_bytes(b"1 x\n" + b"2\n" * 10_000 + b"\xff\n")
+        assert parsed(_scan_int_stream, path).startswith(f"cannot read {path}: ")
+        with mock.patch.object(cli, "_SCAN_CHUNK", 4):
+            assert parsed(_scan_int_stream, path) == f"non-integer token 'x' in {path}"
 
     def test_parser_warning_sends_file_to_scan(self, tmp_path, monkeypatch):
         # numpy 1.x parses "1.0" as an integer with a DeprecationWarning; a
@@ -912,3 +937,56 @@ def test_module_entry_point(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.endswith(f"wrote {out}\n")
     assert out.read_text().splitlines() == ["order,nodes,hyperedges,lcc_pct", "2,4,2,50",
                                             "3,3,1,100", "complete,5,3,100"]
+
+
+# a 5-simplex dataset with node labels, as the CLI reads it
+FUZZ_FILES = {"nverts": b"3\n2\n3\n2\n4\n",
+              "simplices": b"1\n2\n3\n2\n3\n3\n4\n5\n4\n5\n1\n2\n4\n5\n",
+              "node-labels": b"1\ta\n2\tb\n3\tc\n4\td\n5\te\n"}
+FUZZ_RUNS = [["stats"],
+             ["centrality", "--method", "hec", "--order", "2", "--lcc"],
+             ["centrality", "--method", "uphec", "--p", "3", "--lcc"],
+             ["centrality", "--method", "alt", "--order", "4", "--aux-gauge", "--lcc"],
+             ["centrality", "--method", "zec-uplift", "--lcc"],
+             ["compare", "--methods", "u2,h2,a3", "--lcc"]]
+
+
+@st.composite
+def mutated_dataset(draw):
+    """The fuzz dataset with one of its files given 1-4 byte edits: a byte
+    replaced, inserted or deleted, drawn from bytes the id and label
+    parsers treat specially."""
+    name = draw(st.sampled_from(sorted(FUZZ_FILES)))
+    data = bytearray(FUZZ_FILES[name])
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from(b"0123456789 \t\n\r-+_.x\xff\x00"))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert" or at == len(data):
+            data[at:at] = bytes([byte])
+        elif edit == "replace":
+            data[at] = byte
+        else:
+            del data[at]
+    return {**FUZZ_FILES, name: bytes(data)}
+
+
+@given(mutated_dataset())
+@settings(max_examples=40, deadline=None)
+def test_mutated_dataset_is_read_or_refused(files):
+    # every command either succeeds or refuses the input with one line on
+    # stderr: no traceback, no other exit code
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            (Path(tmp) / f"toy-{name}.txt").write_bytes(data)
+        for run in FUZZ_RUNS:
+            out = ["--out-dir", f"{tmp}/cmp"] if run[0] == "compare" else ["--out", f"{tmp}/o.csv"]
+            err = StringIO()
+            with redirect_stdout(StringIO()), redirect_stderr(err):
+                code = main([*run, "--input", f"{tmp}/toy", *out])
+            if code == 0:
+                assert err.getvalue() == "", run
+            else:
+                assert code == 2, (run, code, err.getvalue())
+                assert err.getvalue().startswith("data error: "), run
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), run

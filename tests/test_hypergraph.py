@@ -237,6 +237,13 @@ class TestConstruction:
         with pytest.raises(hr.DataError, match=message):
             hr.Hypergraph(n, labels, blocks=blocks)
 
+    def test_labels_of_any_sequence(self):
+        # an array of labels is read as its entries, not as one truth value
+        assert hr.Hypergraph(2, labels=np.array([5, 6])).labels == (5, 6)
+        assert hr.Hypergraph(2, labels=iter("ab")).labels == ("a", "b")
+        for labels in (None, (), np.array([], dtype=int)):
+            assert hr.Hypergraph(2, labels=labels).labels == (0, 1)
+
     def test_empty_block_is_dropped(self):
         h = hr.Hypergraph(3, blocks={2: ([[0, 1]], [1.0]), 3: (np.zeros((0, 3)), [])})
         assert list(h.blocks) == [2] and h.max_size == 2
@@ -282,6 +289,7 @@ class TestConstruction:
             lambda: path.with_labels((L(), L())),
             lambda: hr.h_eigen_power(hr.from_hypergraph(path), labels=(L(), L())),
             lambda: hr.RankingTable.from_scores({"a": {L(): 1.0}, "b": {L(): 1.0}}),
+            lambda: hr.RankingTable((L(), L()), ("a", "b"), np.zeros((2, 2))),
         ]
         for build in builds:
             with pytest.raises(hr.DataError,

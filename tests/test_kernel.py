@@ -172,9 +172,7 @@ def tensor_of(h, kind, m, gauged):
     """The tensor a pipeline solves on for one construction: the uplift
     view for "uplift" and "uplift_project", and the materialized ALT
     tensor for "alt"; with `gauged`, its aux gauge."""
-    if kind == "uplift":
-        t = _uplifted(h, m)
-    elif kind == "uplift_project":  # the view projects h itself
+    if kind in ("uplift", "uplift_project"):  # the view projects h itself
         t = _uplifted(h, m)
     else:
         t = hr.from_hypergraph(build(h, kind, m, aux_gauge=False)[0])
@@ -719,12 +717,20 @@ class TestMergeOnlyWhereRowsCollide:
 
 
 class TestComponentOrder:
-    def test_ties_break_on_label_string_order(self):
-        # equal sizes: "10" < "9" as strings, so {10, 11} comes first
-        h = hr.Hypergraph.from_edge_list([[9, 12], [10, 11]])
-        comps = hr.connected_components(h)
-        assert [[h.labels[v] for v in c] for c in comps] == [[10, 11], [9, 12]]
-        assert hr.largest_connected_component(h).labels == (10, 11)
+    def test_ties_break_on_smallest_label(self):
+        # equal sizes: the component holding the smallest label in
+        # `sort_labels` order comes first
+        for edges, first in [
+            ([[9, 12], [10, 11]], (9, 12)),  # natural order: 9 < 10, though "10" < "9"
+            ([[9, 20], [10, 30]], (9, 20)),
+            # labels that do not compare order as `sort_labels` orders them: by
+            # type name, then string, so int 1 comes before str "0"
+            ([["0", "a"], [1, 2]], (1, 2)),
+        ]:
+            h = hr.Hypergraph.from_edge_list(edges)
+            comps = hr.connected_components(h)
+            assert tuple(h.labels[v] for v in comps[0]) == first
+            assert hr.largest_connected_component(h).labels == first
 
     def test_larger_component_first(self):
         h = hr.Hypergraph.from_edge_list([[9, 12], [10, 11], [11, 13]])

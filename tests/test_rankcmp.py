@@ -126,6 +126,14 @@ class TestZeroFill:
         np.testing.assert_allclose(table.column("U2"), [0.5, 0.3, 0.0])
         np.testing.assert_allclose(table.column("H3"), [0.0, 0.2, 0.8])
 
+    def test_ranking_table_labels_are_node_labels(self):
+        # two nodes named 1 would rank as two nodes in every tau
+        cols = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(hr.DataError, match="labels must be distinct"):
+            hr.RankingTable((1, 1), ("a", "b"), cols)
+        for labels in (None, (), np.array([0, 1])):
+            assert hr.RankingTable(labels, ("a", "b"), cols).labels == (0, 1)
+
     def test_ranking_table_refuses_repeated_tags(self):
         cols = np.zeros((4, 2))
         with pytest.raises(hr.DataError, match="repeated: 'B', 'A'$"):
@@ -136,6 +144,8 @@ class TestZeroFill:
     def test_ranking_table_refuses_mismatched_or_no_columns(self):
         with pytest.raises(hr.DataError, match="column matrix shape mismatch"):
             hr.RankingTable((1, 2, 3), ("U2", "U3"), np.zeros((2, 2)))
+        with pytest.raises(hr.DataError, match="column matrix shape mismatch"):
+            hr.RankingTable((1, 2), ("U2", "U3"), np.zeros(2))
         with pytest.raises(hr.DataError, match="no score columns given"):
             hr.RankingTable.from_scores({})
 

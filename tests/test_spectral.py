@@ -140,6 +140,8 @@ class TestHEigenPower:
                 hr.h_eigen_power(t, aux_indices=aux)
         res = hr.h_eigen_power(t, aux_indices=(np.int64(1),))
         assert list(res.aux_scores) == [1] and res.labels == (0, 2, 3)
+        # no labels name the indices 0..dim-1, as None does
+        assert hr.h_eigen_power(t, labels=()).labels == (0, 1, 2, 3)
 
     def test_max_iter_flags_nonconverged(self, example6):
         t = hr.from_hypergraph(hr.uplift_project(example6, 2))
@@ -566,9 +568,18 @@ class TestVerify:
 
     def test_bad_norm_name(self, two_aux_uplift):
         t = hr.from_hypergraph(two_aux_uplift)
-        pair = hr.z_via_uplift(two_aux_uplift, "z2")
-        with pytest.raises(hr.DataError, match="norm must be 'z1' or 'z2', got 'z3'"):
-            hr.verify_z_eigenpair(t, pair.eigenvalue, pair.eigenvector, "z3")
+        pair = hr.z_via_uplift(two_aux_uplift, "Z2")
+        assert pair.norm == "z2"
+        for norm in ("z3", 2, None, ["z2"], np.array(["z1", "z2"])):
+            message = f"norm must be 'z1' or 'z2', got {norm!r}"
+            # refused before any contraction
+            with mock.patch("hyperrank.spectral.apply", side_effect=AssertionError), \
+                    pytest.raises(hr.DataError) as err:
+                hr.verify_z_eigenpair(t, pair.eigenvalue, pair.eigenvector, norm)
+            assert str(err.value) == message
+            with pytest.raises(hr.DataError) as err:
+                hr.z_via_uplift(two_aux_uplift, norm)
+            assert str(err.value) == message
 
 
 class TestCompositionsOracle:

@@ -80,8 +80,21 @@ class TestMultiUplift:
             hr.multi_uplift(fig1, 5, (1, 1))
 
     def test_rejects_bad_multiplicity_sum(self, path3):
-        with pytest.raises(hr.DataError):
-            hr.multi_uplift(path3, 5, (1, 1))
+        for m, p in [
+            (5, (1, 1)),  # sums to 2, not 3
+            (4, (1.9, 1.9)),  # not integers: truncated, (1, 1) would pass
+            (4, (True, True)),  # bools are not multiplicities
+            (4, (1.5, 0.5)),  # named as given, not as (1, 0)
+            (4, (np.float64(1.0), 1)),
+            (4, ("1", "1")),
+            (4, (2, 0)),
+        ]:
+            with pytest.raises(hr.DataError) as err:
+                hr.multi_uplift(path3, m, p)
+            assert str(err.value) == (f"multiplicities {p} must be positive integers "
+                                      f"and sum to {m - 2}")
+        g = hr.multi_uplift(path3, 4, (np.int64(1), 1))
+        assert g.aux.multiplicities == (1, 1) and type(g.aux.multiplicities[0]) is int
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_rejects_order_not_above_edge_size(self, path3, m):

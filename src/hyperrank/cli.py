@@ -43,13 +43,13 @@ from .rankcmp import (
 )
 from .spectral import (
     SolverOptions,
+    _solve_order,
     alt_centrality,
     hec,
     uhec,
     uphec,
     z_via_uplift,
 )
-from .uniformize import _check_max_order
 
 # method -> (pipeline, order, `compare` tag, solves on the size-`order` slice).
 # The order is the option that sets it, a fixed order, or None. Pipelines are
@@ -327,15 +327,6 @@ def _solve(h: Hypergraph, method: str, order: Optional[int], args,
 #  centrality
 # ──────────────────────────────────────────────────────────────────────
 
-def _check_order(order: int, aux_gauge: bool) -> None:
-    """Refuse, before ingest, an order that no input can run at: below 2, or
-    above the tensor cap (one less under the aux gauge, which solves one
-    order up). The pipelines refuse the same orders after ingest."""
-    if order < 2:
-        raise DataError(f"order must be >= 2, got {order}")
-    _check_max_order(order + 1 if aux_gauge else order)
-
-
 def _method_order(args) -> Optional[int]:
     """The order `--method` runs at: fixed, none, or given by its option."""
     if args.method not in _METHODS:  # only a stored manifest can get here
@@ -345,7 +336,7 @@ def _method_order(args) -> Optional[int]:
         if getattr(args, order) is None:
             raise UsageError(f"--{order} is required for {args.method}")
         order = getattr(args, order)
-        _check_order(order, args.aux_gauge)
+        _solve_order(order, args.aux_gauge)  # before ingest: no input runs it
     return order
 
 
@@ -404,7 +395,7 @@ def cmd_compare(args) -> int:
         if name in names[:k]:
             raise UsageError(f"method tag {name!r} is repeated in --methods")
     for _, order, _ in runs:  # after every tag is read: a malformed one is a usage error
-        _check_order(order, args.aux_gauge)
+        _solve_order(order, args.aux_gauge)
     opts = _options(args)
     h, report = _ingest(args.input)
     # the table never holds more labels than the input has nodes; a K that

@@ -62,6 +62,15 @@ def _node_labels(labels, n: int, mismatch: str = "labels must have length n") ->
     return labels
 
 
+def _check_size(value, what: str = "order") -> int:
+    """The order or edge size `value` as an int; else a `DataError` naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DataError(f"{what} must be an integer, got {value!r}")
+    if value < 2:
+        raise DataError(f"{what} must be >= 2, got {value}")
+    return int(value)
+
+
 def _check_indices(indices, n: int, what: str) -> None:
     """Refuse an entry of `indices` that is not an integer (a bool is none)
     in 0..n-1, naming it as a `what`."""
@@ -209,13 +218,12 @@ class Hypergraph:
         aux = aux if aux is not None else AuxSpec()
         _check_indices(aux.nodes, n, "aux node")
         clean: Blocks = {}
-        for s in sorted(blocks or {}):
+        blocks = {_check_size(s, "edge size"): b for s, b in (blocks or {}).items()}
+        for s in sorted(blocks):
             rows, weight = blocks[s]
             rows, weight = _frozen(rows, np.int64), _frozen(weight, float)
             if not len(rows):
                 continue
-            if s < 2:
-                raise DataError(f"a hyperedge needs at least 2 nodes, got a size-{s} edge")
             if rows.shape != (len(weight), s):
                 raise DataError(f"size-{s} block has shape {rows.shape}")
             if rows.min() < 0 or rows.max() >= n:
@@ -310,9 +318,8 @@ class Hypergraph:
             for k in repeated.tolist():
                 warnings.warn(f"collapsing repeated nodes within edge "
                               f"{edge_lists[k]!r} to a set", stacklevel=2)
-        if (size < 2).any():
-            raise DataError(f"a hyperedge needs at least 2 nodes, got a "
-                            f"size-{size.min()} edge")
+        if len(size):
+            _check_size(size.min(), "edge size")
         return Hypergraph(len(labels), labels, blocks=blocks)
 
     def restrict(self, keep: np.ndarray, blocks: Blocks) -> "Hypergraph":
@@ -411,8 +418,7 @@ def order_slice(h: Hypergraph, m: int) -> Hypergraph:
 
     Returns an empty hypergraph when no edge has size m.
     """
-    if m < 2:
-        raise DataError(f"order must be >= 2, got {m}")
+    m = _check_size(m)
     if m not in h.blocks:
         return Hypergraph(0)
     rows, w = h.blocks[m]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -155,8 +156,12 @@ def _sweep(ranks: np.ndarray, pairs: Sequence[tuple[int, int]], ks: Sequence[int
 
 
 def _check_ks(ks: Sequence[int], n: int) -> list[int]:
-    """The Ks of at least 2, after refusing unsorted Ks and any K above n."""
+    """The Ks of at least 2, after refusing a K that is not an integer (a
+    bool is none), unsorted Ks and any K above n."""
     ks = list(ks)
+    for k in ks:
+        if isinstance(k, bool) or not isinstance(k, Integral):
+            raise DataError(f"K must be an integer, got {k!r}")
     if ks != sorted(ks):
         raise DataError("Ks must be sorted ascending")
     ks = [k for k in ks if k >= 2]
@@ -219,6 +224,8 @@ class RankingTable:
         return RankingTable(labels, tuple(scores), columns)
 
     def column(self, tag: str) -> np.ndarray:
+        if tag not in self.tags:
+            raise DataError(f"no column is tagged {tag!r}; the tags are {self.tags}")
         return self.columns[self.tags.index(tag)]
 
 

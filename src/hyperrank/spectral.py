@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .hypergraph import (AuxSpec, Hypergraph, _check_indices, _node_labels, component_roots,
-                         is_strongly_connected)
+from .hypergraph import (AuxSpec, Hypergraph, _check_indices, _check_size, _node_labels,
+                         component_roots, is_strongly_connected)
 from .tensor import (ScoreVector, UniformTensor, _as_array, _CompositionTensor,
                      _contraction, _norm_value, _uplifted, _UpliftTensor, apply,
                      from_hypergraph)
@@ -275,6 +275,12 @@ def eigenvector_centrality(
 #  Uniformization pipelines
 # ──────────────────────────────────────────────────────────────────────
 
+def _solve_order(order, aux_gauge: bool) -> int:
+    """The order a solve at `order` runs at, checked: one up under the aux gauge."""
+    order = _check_size(order)
+    return _check_max_order(order + 1 if aux_gauge else order)
+
+
 def _solve_uniformized(
     t: UniformTensor | _CompositionTensor | _UpliftTensor, method: str,
     options: Optional[SolverOptions], aux_gauge: bool,
@@ -282,8 +288,7 @@ def _solve_uniformized(
     """Solve on the tensor t of a uniformized hypergraph or, when `aux_gauge`
     is set, on its aux-gauged view: the tensor uplifted one more order."""
     if aux_gauge:  # t is the one part of its uplift one order up
-        _check_max_order(t.order + 1)
-        t = _UpliftTensor((t,), t.order + 1, t.hypergraph)
+        t = _UpliftTensor((t,), _solve_order(t.order, True), t.hypergraph)
     return h_eigen_power(t, options, labels=t.labels, aux_indices=t.aux.nodes,
                          method=method)
 
@@ -310,7 +315,7 @@ def uhec(
     auxiliary components are reported separately at their raw solver values.
     """
     _require_connected(h)
-    _check_uplift(h, m)
+    m = _check_uplift(h, m)
     return _solve_uniformized(_uplifted(h, m), f"UHEC({m})", options, aux_gauge)
 
 
@@ -322,7 +327,7 @@ def uphec(
 ) -> CentralityResult:
     """Project edges above order p, uplift the rest, and solve at order p."""
     _require_connected(h)
-    _check_uplift_project(h, p)
+    p = _check_uplift_project(h, p)
     return _solve_uniformized(_uplifted(h, p), f"UPHEC({p})", options, aux_gauge)
 
 
@@ -394,7 +399,7 @@ def z_via_uplift(h: Hypergraph, norm: str) -> ZEigenpair:
     """
     norm, vector_norm = _z_norm(norm)
     _require_connected(h)
-    _check_max_order(h.max_size)
+    m = _check_max_order(h.max_size)
     aux = detect_uplift_structure(h)
     if aux is None:
         raise DataError(
@@ -408,7 +413,7 @@ def z_via_uplift(h: Hypergraph, norm: str) -> ZEigenpair:
     _row_budget(n_g * n_g,  # the dense adjacency matrix eigh solves
                 f"the dense eigensolver would hold {n_g * n_g} cells for {n_g} graph nodes")
 
-    rows, weight = h.blocks[h.max_size]
+    rows, weight = h.blocks[m]
     pairs = (np.cumsum(~is_aux) - 1)[rows[~is_aux[rows]]].reshape(-1, 2)
     A = np.zeros((n_g, n_g))
     np.add.at(A, (pairs[:, 0], pairs[:, 1]), weight)

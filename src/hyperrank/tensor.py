@@ -37,8 +37,8 @@ import numpy as np
 from .errors import DataError
 from .hypergraph import Hypergraph, Support
 from .uniformize import (_alpha, _check_composable, _check_max_order, _compositions,
-                         _multinomial, _starred, alternative_uniformization, project,
-                         star_factor)
+                         _multinomial, _pads_nothing, _starred, alternative_uniformization,
+                         project, star_factor)
 
 NORMS = ("l1", "l2", "none")
 
@@ -132,9 +132,8 @@ class UniformTensor:
                 f"hypergraph is not uniform (sizes {sorted(h.edge_sizes())}); "
                 "uniformize it first"
             )
-        _check_max_order(h.max_size)
         self.hypergraph = h
-        self.order = h.max_size
+        self.order = _check_max_order(h.max_size)
         self.dim = h.n
         self.labels, self.aux = h.labels, h.aux
 
@@ -192,9 +191,8 @@ class _CompositionTensor:
 
     def __init__(self, h: Hypergraph, m: int):
         g = project(h, m)
-        _check_composable(g, m)
         self.hypergraph = g
-        self.order = m
+        self.order = _check_composable(g, m)
         self.dim = g.n
         self.labels, self.aux = g.labels, g.aux
 
@@ -246,7 +244,7 @@ def _uplifted(h: Hypergraph, m: int) -> Union[UniformTensor, _UpliftTensor]:
     g's size classes; `UniformTensor(g)` when no edge needs padding. Its
     refusals are `project`'s: `uplift`'s are its callers' to state."""
     g = project(h, m)
-    if all(s == m for s in g.blocks):
+    if _pads_nothing(g, m):
         return UniformTensor(g)
     return _UpliftTensor(tuple(UniformTensor(Hypergraph(g.n, g.labels, g.aux, blocks={s: b}))
                                for s, b in g.blocks.items()), m, g)

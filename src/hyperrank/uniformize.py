@@ -24,12 +24,12 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from numbers import Integral
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DataError
-from .hypergraph import AuxSpec, Hypergraph, _hand_on_connected, merge_rows
+from .hypergraph import AuxSpec, Hypergraph, _check_size, _hand_on_connected, merge_rows
 
 __all__ = [
     "BuildCounter",
@@ -69,13 +69,15 @@ def star_factor(m: int, s: int) -> float:
     return (m_star * math.factorial(m - m_star)) / math.factorial(m)
 
 
-def _check_max_order(order: int) -> None:
-    """Refuse orders whose arrangement counts the tensor kernels do not support."""
+def _check_max_order(order, what: str = "order") -> int:
+    """`order` as an int; refuses what `_check_size` refuses and orders above the cap."""
+    order = _check_size(order, what)
     if order > _MAX_ORDER:
         raise DataError(f"tensor order {order} exceeds supported {_MAX_ORDER}")
+    return order
 
 
-def _check_order(h: Hypergraph, m: int, verb: str) -> None:
+def _check_covers_edges(h: Hypergraph, m: int, verb: str) -> None:
     if m < h.max_size:
         raise DataError(f"cannot {verb} below max edge size: m={m} < M={h.max_size}")
 
@@ -104,10 +106,13 @@ def _starred(labels: tuple, aux: AuxSpec) -> tuple[tuple, AuxSpec]:
     return _appended(labels, aux, ("*",), (None,))
 
 
-def _check_uplift(h: Hypergraph, m: int) -> bool:
-    """Refuse what `uplift(h, m)` refuses; True when no edge needs padding."""
-    _check_order(h, m, "uplift")
-    _check_max_order(m)
+def _check_uplift(h: Hypergraph, m) -> int:
+    """`m` as an int, after refusing what `uplift(h, m)` refuses."""
+    _check_covers_edges(h, _check_size(m), "uplift")
+    return _check_max_order(m)
+
+
+def _pads_nothing(h: Hypergraph, m: int) -> bool:
     return all(s == m for s in h.blocks)
 
 
@@ -119,7 +124,8 @@ def uplift(h: Hypergraph, m: int, counter: BuildCounter | None = None) -> Hyperg
     through. Identity when nothing needs padding (no auxiliary node added).
     Solvers do not build it but solve on its view, `tensor._UpliftTensor`.
     """
-    if _check_uplift(h, m):
+    m = _check_uplift(h, m)
+    if _pads_nothing(h, m):
         return h
     star = h.n
     rows, weights = [], []
@@ -142,16 +148,17 @@ def multi_uplift(
 ) -> Hypergraph:
     """Pad a uniform hypergraph with s distinct auxiliary nodes, the k-th one
     appearing p[k] times in every edge. Weights are left unchanged.
-    Multiplicities that are not integers (a bool is none) are refused.
+    Multiplicities that are not a sequence of integers (a bool is none) are refused.
     """
-    p = tuple(p)
-    _check_max_order(m)
+    m = _check_max_order(m)
     if not h.is_uniform():
         raise DataError("multi_uplift requires a uniform hypergraph with edges")
     big_m = h.max_size
     if m <= big_m:
         raise DataError(f"target order must exceed edge size: m={m}, M={big_m}")
-    if not all(isinstance(v, Integral) and not isinstance(v, bool) and v >= 1 for v in p) \
+    p = tuple(p) if isinstance(p, Iterable) else p
+    if not isinstance(p, tuple) or not all(
+            isinstance(v, Integral) and not isinstance(v, bool) and v >= 1 for v in p) \
             or sum(p) != m - big_m:
         raise DataError(f"multiplicities {p} must be positive integers "
                         f"and sum to {m - big_m}")
@@ -189,9 +196,7 @@ def project(h: Hypergraph, p: int, counter: BuildCounter | None = None) -> Hyper
     block, where subsets collide, is merged. Identity when no edge is larger
     than p.
     """
-    if p < 2:
-        raise DataError(f"projection order must be >= 2, got {p}")
-    _check_max_order(p)
+    p = _check_max_order(p, "projection order")
     if h.max_size <= p:
         return h
     projected_rows(h.edge_sizes(), p)
@@ -214,16 +219,18 @@ def project(h: Hypergraph, p: int, counter: BuildCounter | None = None) -> Hyper
     return _hand_on_connected(h, Hypergraph(h.n, labels=h.labels, aux=h.aux, blocks=blocks))
 
 
-def _check_uplift_project(h: Hypergraph, p: int) -> None:
-    if not 2 <= p <= h.max_size:
+def _check_uplift_project(h: Hypergraph, p) -> int:
+    p = _check_size(p)
+    if p > h.max_size:
         raise DataError(f"order p={p} must satisfy 2 <= p <= M={h.max_size}")
+    return p
 
 
 def uplift_project(
     h: Hypergraph, p: int, counter: BuildCounter | None = None
 ) -> Hypergraph:
     """Project edges above p, then uplift the rest: a p-uniform result."""
-    _check_uplift_project(h, p)
+    p = _check_uplift_project(h, p)
     return uplift(project(h, p, counter), p, counter)
 
 
@@ -263,15 +270,17 @@ def _alpha(m: int, s: int) -> int:
     return sum((-1) ** j * math.comb(s, j) * (s - j) ** m for j in range(s + 1))
 
 
-def _check_composable(h: Hypergraph, m: int) -> None:
-    """The refusals of the composition construction at order m, in order:
-    an order below the largest edge, too many composition rows, an order
-    above the cap, and rows that repeat a node."""
-    _check_order(h, m, "uniformize")
+def _check_composable(h: Hypergraph, m) -> int:
+    """`m` as an int, after the construction's refusals at order m, in order:
+    what `_check_size` refuses, an order below the largest edge, too many
+    composition rows, an order above the cap, and rows that repeat a node."""
+    m = _check_size(m)
+    _check_covers_edges(h, m, "uniformize")
     _composition_rows(h.edge_sizes(), m)
     _check_max_order(m)
     for r, _ in h.blocks.values():
         _require_simple(r, "alternative uniformization")
+    return m
 
 
 def alternative_uniformization(h: Hypergraph, m: int) -> Hypergraph:
@@ -283,7 +292,7 @@ def alternative_uniformization(h: Hypergraph, m: int) -> Hypergraph:
     Solvers do not build it: `tensor._CompositionTensor` is its tensor as a
     view of h.
     """
-    _check_composable(h, m)
+    m = _check_composable(h, m)
     rows, weights = [], []
     for s, (r, w) in h.blocks.items():
         value = w * s / _alpha(m, s)

@@ -137,8 +137,7 @@ def from_edge_list(edge_lists, weights=None, nodes=(), keep_multiplicities=False
         rows.append(row)
         ws.append(w)
     if min(groups, default=2) < 2:
-        raise hr.DataError(f"a hyperedge needs at least 2 nodes, got a "
-                           f"size-{min(groups)} edge")
+        raise hr.DataError(f"edge size must be >= 2, got {min(groups)}")
     blocks = {s: merge_rows(np.array(rows, dtype=np.int64), np.array(ws))
               for s, (rows, ws) in groups.items()}
     return hr.Hypergraph(len(labels), labels, blocks=blocks)

@@ -202,11 +202,11 @@ class TestConstruction:
         assert h.edges[0].support == ((0, 1), (1, 2))
 
     def test_rejects_singleton_edge(self):
-        with pytest.raises(hr.DataError, match="at least 2 nodes"):
+        with pytest.raises(hr.DataError, match="edge size must be >= 2, got 1"):
             hr.Hypergraph(4, blocks={1: ([[3]], [1.0])})
-        with pytest.raises(hr.DataError, match="at least 2 nodes"):
+        with pytest.raises(hr.DataError, match="edge size must be >= 2, got 1"):
             hr.Hypergraph.from_edge_list([[1], [1, 2]])
-        with pytest.raises(hr.DataError, match="size-0 edge"):
+        with pytest.raises(hr.DataError, match="edge size must be >= 2, got 0"):
             hr.Hypergraph.from_edge_list([[], [], [1, 2]])
 
     def test_rejects_nonpositive_weight(self):

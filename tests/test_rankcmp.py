@@ -140,6 +140,9 @@ class TestZeroFill:
             hr.RankingTable((1, 2), ("B", "A", "B", "A"), cols)
         with pytest.raises(hr.DataError, match="repeated: 'U2'$"):
             hr.RankingTable((1, 2), ("U2", "U3", "U2", "U4"), cols)
+        table = hr.RankingTable.from_scores({"a": {1: 1.0}, "b": {1: 2.0}})
+        with pytest.raises(hr.DataError, match="no column is tagged 'c'"):
+            table.column("c")
 
     def test_ranking_table_refuses_mismatched_or_no_columns(self):
         with pytest.raises(hr.DataError, match="column matrix shape mismatch"):
@@ -207,6 +210,16 @@ class TestTopKCurve:
     def test_rejects_unsorted_ks(self):
         with pytest.raises(hr.DataError):
             hr.topk_curve([1.0, 2.0], [1.0, 2.0], [2, 1])
+        # a K that is not an integer: 2.5 would read as 2, "3" would not sort
+        table = hr.RankingTable.from_scores({"a": {i: i for i in range(5)},
+                                             "b": {i: -i for i in range(5)}})
+        for ks in ([2.5, 4], ["3"], [2, True], [np.float64(3.0)]):
+            for run in (lambda: hr.topk_curve(table.column("a"), table.column("b"), ks),
+                        lambda: hr.heatmap_and_curves(table, ks)):
+                with pytest.raises(hr.DataError, match="K must be an integer, got "):
+                    run()
+        assert hr.topk_curve(table.column("a"), table.column("b"), [np.int64(3)]) == \
+            hr.topk_curve(table.column("a"), table.column("b"), [3])
 
     def test_rejects_k_above_size(self):
         with pytest.raises(hr.DataError):

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -580,6 +582,17 @@ class TestVerify:
             with pytest.raises(hr.DataError) as err:
                 hr.z_via_uplift(two_aux_uplift, norm)
             assert str(err.value) == message
+
+
+class TestReadmeQuickstart:
+    def test_runs_as_written(self, capsys):
+        # README's library quickstart, its one python block, as printed there
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], str(readme), "exec"), {})
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 3 and out[-1].endswith("passed=True)")
 
 
 class TestCompositionsOracle:

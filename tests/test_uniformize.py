@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -96,9 +98,12 @@ class TestMultiUplift:
         g = hr.multi_uplift(path3, 4, (np.int64(1), 1))
         assert g.aux.multiplicities == (1, 1) and type(g.aux.multiplicities[0]) is int
 
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_rejects_order_not_above_edge_size(self, path3, m):
-        with pytest.raises(hr.DataError, match=f"target order must exceed edge size: m={m}, M=2"):
+    @pytest.mark.parametrize("m, message", [
+        pytest.param(1, "order must be >= 2, got 1", id="1"),  # every order's rule, first
+        pytest.param(2, "target order must exceed edge size: m=2, M=2", id="2"),
+    ])
+    def test_rejects_order_not_above_edge_size(self, path3, m, message):
+        with pytest.raises(hr.DataError, match=message):
             hr.multi_uplift(path3, m, ())
 
 
@@ -237,6 +242,66 @@ class TestOrderCap:
     def test_cap_itself_is_allowed(self, fig1):
         g = hr.uplift(fig1, 20)
         assert hr.from_hypergraph(g).order == 20
+
+
+# Every entry point that takes an order, called on fig1 (edge sizes 2 and 3)
+# or, for `multi_uplift`, on the 2-uniform path3; 3 is a valid order for each.
+ORDER_ENTRY_POINTS = {
+    "uplift": lambda h, path, m: hr.uplift(h, m, hr.BuildCounter()),
+    "project": lambda h, path, m: hr.project(h, m, hr.BuildCounter()),
+    "uplift_project": lambda h, path, m: hr.uplift_project(h, m, hr.BuildCounter()),
+    "multi_uplift": lambda h, path, m: hr.multi_uplift(path, m, (1,), hr.BuildCounter()),
+    "alternative_uniformization": lambda h, path, m: hr.alternative_uniformization(h, m),
+    "order_slice": lambda h, path, m: hr.order_slice(h, m),
+    "uhec": lambda h, path, m: hr.uhec(h, m),
+    "uphec": lambda h, path, m: hr.uphec(h, m, aux_gauge=True),
+    "alt_centrality": lambda h, path, m: hr.alt_centrality(h, m),
+}
+
+
+def spelled(out):
+    """A hypergraph or centrality result as comparable values, with the
+    types of its block keys and of its result's order."""
+    if isinstance(out, hr.Hypergraph):
+        return (out.n, out.labels, out.aux,
+                [(type(s), s, r.tobytes(), w.tobytes()) for s, (r, w) in out.blocks.items()])
+    return (out.method, out.labels, out.scores.values.tobytes(), out.eigenvalue,
+            out.iterations, out.aux_scores)
+
+
+class TestOrderRule:
+    """Every order and edge size is an integer (a bool is none) of at least
+    2: anything else is a `DataError` before a row is built, and a numpy
+    integer is the int it equals."""
+
+    @pytest.mark.parametrize("bad", [3.0, 2.5, True, "3"], ids=repr)
+    @pytest.mark.parametrize("entry", ORDER_ENTRY_POINTS)
+    def test_refuses_an_order_that_is_not_an_integer(self, fig1, path3, entry, bad):
+        # no hypergraph is built: neither a rewrite's output nor a view's parts
+        with mock.patch.object(hr.Hypergraph, "__init__", side_effect=AssertionError), \
+                pytest.raises(hr.DataError) as err:
+            ORDER_ENTRY_POINTS[entry](fig1, path3, bad)
+        assert re.fullmatch(f"(projection )?order must be an integer, got {re.escape(repr(bad))}",
+                            str(err.value))
+
+    @pytest.mark.parametrize("entry", ORDER_ENTRY_POINTS)
+    def test_takes_a_numpy_integer_as_the_int(self, fig1, path3, entry):
+        call = ORDER_ENTRY_POINTS[entry]
+        assert spelled(call(fig1, path3, np.int64(3))) == spelled(call(fig1, path3, 3))
+
+    @pytest.mark.parametrize("bad", [2.0, 2.5, True, "2"], ids=repr)
+    def test_refuses_a_block_size_that_is_not_an_integer(self, bad):
+        with pytest.raises(hr.DataError) as err:
+            hr.Hypergraph(3, blocks={bad: ([[0, 1]], [1.0])})
+        assert str(err.value) == f"edge size must be an integer, got {bad!r}"
+        h = hr.Hypergraph(3, blocks={np.int64(2): ([[0, 1]], [1.0])})
+        assert [type(s) for s in h.blocks] == [int]
+
+    def test_refuses_multiplicities_that_are_not_a_sequence(self, path3):
+        with mock.patch.object(hr.Hypergraph, "__init__", side_effect=AssertionError), \
+                pytest.raises(hr.DataError) as err:
+            hr.multi_uplift(path3, 4, 5)
+        assert str(err.value) == "multiplicities 5 must be positive integers and sum to 2"
 
 
 class TestInvariants:
